@@ -172,10 +172,13 @@ var (
 	// (the paper's Configuration #3).
 	NewDiskStore = stable.NewDiskStore
 	// NewReplicatedStore returns the diskless, ReStore-style store: each
-	// rank's checkpoints live in node memory with fragments replicated to
-	// its +1/+2 neighbors, and a failed rank's lines are reassembled from
-	// surviving peers. Pair it with Policy.AsyncCommit for checkpointing
-	// that neither blocks the application nor touches a disk.
+	// rank's checkpoints live in its node's memory with fragments
+	// replicated to its +1/+2 neighbors, and a failed rank's lines are
+	// reassembled from surviving peers. The in-process world is n copies of
+	// the replication engine a multi-process deployment runs over TCP, one
+	// per rank, on one in-memory network. Pair it with Policy.AsyncCommit
+	// for checkpointing that neither blocks the application nor touches a
+	// disk.
 	NewReplicatedStore = stable.NewReplicatedStore
 	// NewDelayedStore wraps a store with an artificial write cost, for
 	// experiments that emulate slow stable storage deterministically.

@@ -197,17 +197,17 @@ type node struct {
 }
 
 // distOptions assembles the store options shared by both modes.
-func (cfg *NodeConfig) distOptions() ([]stable.DistOption, error) {
-	var opts []stable.DistOption
+func (cfg *NodeConfig) distOptions() ([]stable.Option, error) {
+	var opts []stable.Option
 	if cfg.Codec != "" || cfg.DataShards > 0 || cfg.ParityShards > 0 {
 		codec, err := stable.NewCodec(cfg.Codec, cfg.DataShards, cfg.ParityShards)
 		if err != nil {
 			return nil, err
 		}
 		if codec.ParityShards() == 0 && cfg.DataShards > 0 {
-			opts = append(opts, stable.WithDistFragments(cfg.DataShards))
+			opts = append(opts, stable.WithFragments(cfg.DataShards))
 		} else if codec.ParityShards() > 0 {
-			opts = append(opts, stable.WithDistCodec(codec))
+			opts = append(opts, stable.WithCodec(codec))
 		}
 	}
 	if cfg.Log != nil {
@@ -223,7 +223,7 @@ func (cfg *NodeConfig) distOptions() ([]stable.DistOption, error) {
 		opts = append(opts, stable.WithQueryRetries(cfg.QueryRetries))
 	}
 	if cfg.GroupSize > 1 {
-		opts = append(opts, stable.WithDistGroupSize(cfg.GroupSize))
+		opts = append(opts, stable.WithGroupSize(cfg.GroupSize))
 	}
 	return opts, nil
 }

@@ -181,9 +181,9 @@ func TestCodecRecRoundtrip(t *testing.T) {
 	rs, _ := NewCodec("rs", 3, 2)
 	shards, _ := rs.Encode(blob)
 	rec := replCommitRec{codec: CodecRS, frags: 5, data: 3, total: len(blob), sum: replSum(blob), sums: shardSums(shards)}
-	owner, version, inc, got, err := decodeReplCommit(encodeReplCommit(7, 11, 3, rec))
-	if err != nil || owner != 7 || version != 11 || inc != 3 {
-		t.Fatalf("header roundtrip: %d %d %d %v", owner, version, inc, err)
+	owner, version, got, err := decodeReplCommit(encodeReplCommit(7, 11, rec))
+	if err != nil || owner != 7 || version != 11 {
+		t.Fatalf("header roundtrip: %d %d %v", owner, version, err)
 	}
 	if got.codec != rec.codec || got.frags != rec.frags || got.data != rec.data ||
 		got.total != rec.total || got.sum != rec.sum || len(got.sums) != len(rec.sums) {

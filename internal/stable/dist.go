@@ -11,44 +11,37 @@ import (
 	"c3/internal/transport"
 )
 
-// DistStore is the multi-process form of ReplicatedStore: one instance per
-// OS process, holding exactly one node's memory (its own checkpoints plus
-// the fragments and commit markers it replicates for its -1/-2 ring
-// predecessors). Instances communicate over a transport.Interconnect —
-// a tcp.Mesh in real deployments, an in-memory Network in tests.
+// DistStore is one rank's node memory in the diskless, ReStore-style
+// stable store: the rank's own checkpoints plus the shards and commit
+// markers it holds for its ring predecessors. Instances communicate over a
+// transport.Interconnect — one instance per OS process on a tcp.Mesh in
+// multi-process deployments, or n instances on one in-memory Network
+// inside ReplicatedStore.
 //
-// The write path speaks exactly ReplicatedStore's wire protocol: at commit
-// the blob's fragments are shipped to the +1/+2 ring neighbors followed by
-// a commit marker on the same FIFO pair, and the commit blocks until every
-// neighbor acknowledged (or a timeout excuses a dead one). The read path,
-// which in ReplicatedStore inspects all nodes' memory directly, becomes a
-// query protocol: a restarted process with empty memory asks its peers
-// which committed versions they hold for it and fetches the fragments, so
-// diskless recovery works across real process boundaries — a rank that was
-// SIGKILLed reassembles its last committed line entirely over the wire.
+// Write path: at commit the blob's shards are shipped to their holders,
+// each followed by a commit marker on the same FIFO pair, and the commit
+// blocks until every holder acknowledged (or a timeout, an epoch advance
+// or a node failure excuses it). Read path: a restarted rank with empty
+// memory asks its peers which committed versions they hold for it,
+// fetches shards from the holders they report and reassembles the line,
+// so diskless recovery works across real process boundaries — a rank that
+// was SIGKILLed reassembles its last committed line entirely over the
+// wire.
 //
-// Failure model: a process that dies takes its node memory with it — no
-// FailNode call is needed, real death *is* the wipe. A committed line is
-// lost only if the owner and both replica holders die together.
+// Failure model: a process that dies takes its node memory with it — real
+// death *is* the wipe (in-process, ReplicatedStore.FailNode replaces the
+// rank's store with an empty one). A committed line is lost only if more
+// of its holders die together than its codec tolerates.
 type DistStore struct {
-	self      int
-	n         int
-	fragments int
-	codec     Codec
-	groupSize int // checkpoint group size g; 0 = flat world
-	net       transport.Interconnect
-
-	ackTimeout   time.Duration
-	queryTimeout time.Duration
-	queryRetries int
-	commitHook   func(version int)
-	logf         func(format string, args ...any)
+	storeConfig
+	self int
+	net  transport.Interconnect
 
 	mu          sync.Mutex
 	cond        *sync.Cond
 	members     member.Set
 	node        *replNode
-	awaiting    map[replAckKey]bool
+	awaiting    map[replAckKey]ackState
 	interrupted bool
 	epoch       uint64 // recovery epoch; advancing it releases blocked commits
 	fenced      bool   // minority side of a partition: commits refuse, not excuse
@@ -62,56 +55,154 @@ type DistStore struct {
 
 	reqMu   sync.Mutex
 	nextReq uint64
-	waiters map[uint64]chan replPayload
+	waiters map[uint64]chan distResp
 
 	wg sync.WaitGroup
 }
 
-// DistOption configures a DistStore.
-type DistOption func(*DistStore)
+// replNode is one rank's memory: its own checkpoints plus holdings for
+// peers.
+type replNode struct {
+	local   map[int]*memCkpt
+	frags   map[replFragKey][]byte
+	commits map[replCommitKey]replCommitRec
+}
 
-// WithDistFragments sets how many pieces each checkpoint blob is split
-// into before replication under the default dup codec (default 2).
-func WithDistFragments(k int) DistOption {
-	return func(s *DistStore) {
-		if k >= 1 {
-			s.fragments = k
+type replFragKey struct {
+	owner, version, idx int
+}
+
+type replCommitKey struct {
+	owner, version int
+}
+
+func newReplNode() *replNode {
+	return &replNode{
+		local:   make(map[int]*memCkpt),
+		frags:   make(map[replFragKey][]byte),
+		commits: make(map[replCommitKey]replCommitRec),
+	}
+}
+
+// prune drops the shards and markers held for owner's versions that drop
+// selects.
+func (node *replNode) prune(owner int, drop func(version int) bool) {
+	for key := range node.frags {
+		if key.owner == owner && drop(key.version) {
+			delete(node.frags, key)
+		}
+	}
+	for key := range node.commits {
+		if key.owner == owner && drop(key.version) {
+			delete(node.commits, key)
 		}
 	}
 }
 
-// WithDistCodec replaces the default full-replication (dup) scheme with an
-// erasure codec: each of the k+m shards lands on its own ring successor
-// (parity placement rotated per owner) and the owner keeps no full local
-// copy; any k shards reconstruct the line over the wire.
-func WithDistCodec(codec Codec) DistOption {
-	return func(s *DistStore) { s.codec = codec }
+type replAckKey struct {
+	owner, version, from int
 }
 
-// WithDistGroupSize partitions the world into checkpoint groups of g
-// consecutive ring slots (member.Topology): shards land on group-local
+// ackState is one holder's standing in an in-flight commit.
+type ackState uint8
+
+const (
+	ackPending ackState = iota
+	ackDone
+	// ackLost: the holder's node failed (FailNode). Its shards are gone
+	// even if it acknowledged them before failing.
+	ackLost
+)
+
+// Option configures a DistStore. NewReplicatedStore takes the same options
+// and applies them to each of its per-rank stores.
+type Option func(*storeConfig)
+
+type storeConfig struct {
+	fragments    int
+	codec        Codec
+	groupSize    int // checkpoint group size g; <= 1 is the flat world
+	ackTimeout   time.Duration
+	queryTimeout time.Duration
+	queryRetries int
+	commitHook   func(version int)
+	boot         member.Set
+	logf         func(format string, args ...any)
+	netOpts      []transport.Option // ReplicatedStore's replication network
+	// syncPrune makes Retire and Truncate wait until every peer applied the
+	// prune. ReplicatedStore sets it, because the world-wide StoredBytes it
+	// reports must be exact when they return. Over TCP a prune stays
+	// best-effort garbage collection: waiting on a dead or re-dialing peer
+	// would stall recovery.
+	syncPrune bool
+}
+
+// newStoreConfig applies opts over the defaults for a world of n slots.
+func newStoreConfig(n int, opts []Option) storeConfig {
+	cfg := storeConfig{
+		fragments:    2,
+		ackTimeout:   5 * time.Second,
+		queryTimeout: 3 * time.Second,
+		queryRetries: 1,
+	}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	if cfg.codec == nil {
+		cfg.codec = dupCodec{k: cfg.fragments}
+	}
+	if cfg.codec.ParityShards() > 0 && n < 2 {
+		panic("stable: erasure codecs need at least one peer rank")
+	}
+	return cfg
+}
+
+// WithFragments sets how many pieces each checkpoint blob is split into
+// before replication under the default dup codec (default 2; values below
+// 1 mean 1). More fragments spread replication load in finer grains; every
+// fragment still goes to both neighbors. Ignored when WithCodec installs an
+// erasure codec.
+func WithFragments(k int) Option {
+	return func(c *storeConfig) { c.fragments = max(k, 1) }
+}
+
+// WithCodec replaces the default full-replication (dup) scheme with the
+// given fragment codec: the blob's k+m shards are placed on k+m distinct
+// ring successors (parity rotated per owner) instead of full copies on the
+// +1/+2 neighbors, and the owner keeps no full local copy — any k shards
+// reconstruct the line on demand.
+func WithCodec(codec Codec) Option {
+	return func(c *storeConfig) { c.codec = codec }
+}
+
+// WithGroupSize partitions the world into checkpoint groups of g
+// consecutive ring slots (member.Topology): shards stay on group-local
 // successors and every line additionally ships one cross-group parity
-// shard (the whole blob) to the next group, surviving whole-group loss.
-// g <= 1 keeps the flat world.
-func WithDistGroupSize(g int) DistOption {
-	return func(s *DistStore) {
-		if g > 1 {
-			s.groupSize = g
-		}
-	}
+// shard (the whole blob) to the next group, so even losing an entire
+// group at once leaves the line recoverable. g <= 1 keeps the flat world.
+func WithGroupSize(g int) Option {
+	return func(c *storeConfig) { c.groupSize = g }
+}
+
+// WithReplicationLatency applies a latency model to ReplicatedStore's
+// in-memory replication network, so experiments can price remote-memory
+// checkpointing against local disk. A DistStore runs on the interconnect
+// it is given and ignores it.
+func WithReplicationLatency(m transport.LatencyModel) Option {
+	return func(c *storeConfig) { c.netOpts = append(c.netOpts, transport.WithLatency(m)) }
 }
 
 // WithAckTimeout bounds how long a commit waits for a neighbor's
 // acknowledgment before excusing it as dead (default 5s). The local copy
 // still commits; the line then relies on the surviving replicas.
-func WithAckTimeout(d time.Duration) DistOption {
-	return func(s *DistStore) { s.ackTimeout = d }
+func WithAckTimeout(d time.Duration) Option {
+	return func(c *storeConfig) { c.ackTimeout = d }
 }
 
 // WithQueryTimeout bounds how long recovery reads wait for peer responses
 // (default 3s).
-func WithQueryTimeout(d time.Duration) DistOption {
-	return func(s *DistStore) { s.queryTimeout = d }
+func WithQueryTimeout(d time.Duration) Option {
+	return func(c *storeConfig) { c.queryTimeout = d }
 }
 
 // WithQueryRetries sets how many rounds of per-peer fragment queries a
@@ -119,10 +210,10 @@ func WithQueryTimeout(d time.Duration) DistOption {
 // 1). The self-healing runtime raises it so a reassembly started while a
 // peer is still re-dialing the restarted rank's mesh does not fail
 // spuriously.
-func WithQueryRetries(k int) DistOption {
-	return func(s *DistStore) {
+func WithQueryRetries(k int) Option {
+	return func(c *storeConfig) {
 		if k >= 1 {
-			s.queryRetries = k
+			c.queryRetries = k
 		}
 	}
 }
@@ -133,26 +224,22 @@ func WithQueryRetries(k int) DistOption {
 // dead neighbor — so the hook reports local durability, not replication
 // completion. The multi-process node uses it to report checkpoint
 // progress to the launcher, which drives the external-kill demo mode.
-func WithCommitHook(fn func(version int)) DistOption {
-	return func(s *DistStore) { s.commitHook = fn }
+func WithCommitHook(fn func(version int)) Option {
+	return func(c *storeConfig) { c.commitHook = fn }
 }
 
 // WithDistMembers installs the initial membership placement and recovery
 // queries run against (default: all n slots). A store whose world has
 // spare address slots must receive the real membership, or recovery
 // sweeps would pay dial timeouts toward empty slots.
-func WithDistMembers(m member.Set) DistOption {
-	return func(s *DistStore) {
-		if m.Size() > 0 {
-			s.members = m
-		}
-	}
+func WithDistMembers(m member.Set) Option {
+	return func(c *storeConfig) { c.boot = m }
 }
 
 // WithDistLog installs a diagnostic logger for replication and recovery
 // events.
-func WithDistLog(logf func(format string, args ...any)) DistOption {
-	return func(s *DistStore) { s.logf = logf }
+func WithDistLog(logf func(format string, args ...any)) Option {
+	return func(c *storeConfig) { c.logf = logf }
 }
 
 // NewDistStore creates the store for local rank self of a world with n
@@ -160,35 +247,28 @@ func WithDistLog(logf func(format string, args ...any)) DistOption {
 // membership defaults to all n slots; elastic worlds install the live
 // membership with WithDistMembers / SetMembership. The store owns one
 // replication daemon; call Close when done.
-func NewDistStore(self, n int, net transport.Interconnect, opts ...DistOption) *DistStore {
+func NewDistStore(self, n int, net transport.Interconnect, opts ...Option) *DistStore {
 	if n <= 0 || self < 0 || self >= n {
 		panic(fmt.Sprintf("stable: dist store rank %d of %d", self, n))
 	}
 	s := &DistStore{
-		self:         self,
-		n:            n,
-		members:      member.Launch(n),
-		fragments:    2,
-		net:          net,
-		ackTimeout:   5 * time.Second,
-		queryTimeout: 3 * time.Second,
-		queryRetries: 1,
-		node:         newReplNode(),
-		awaiting:     make(map[replAckKey]bool),
-		waiters:      make(map[uint64]chan replPayload),
+		storeConfig: newStoreConfig(n, opts),
+		self:        self,
+		net:         net,
+		members:     member.Launch(n),
+		node:        newReplNode(),
+		awaiting:    make(map[replAckKey]ackState),
+		waiters:     make(map[uint64]chan distResp),
+	}
+	if s.boot.Size() > 0 {
+		s.members = s.boot
 	}
 	s.cond = sync.NewCond(&s.mu)
-	for _, o := range opts {
-		o(s)
-	}
-	if s.codec == nil {
-		s.codec = dupCodec{k: s.fragments}
-	}
-	if s.codec.ParityShards() > 0 && n < 2 {
-		panic("stable: erasure codecs need at least one peer rank")
-	}
+	// Bind the endpoint now, not in the daemon: after a Network.Restart
+	// the old incarnation's daemon must not pick up the fresh endpoint.
+	ep := net.Endpoint(self)
 	s.wg.Add(1)
-	go s.daemon()
+	go s.daemon(ep)
 	return s
 }
 
@@ -266,14 +346,29 @@ func (s *DistStore) Fenced() bool {
 	return s.fenced
 }
 
+// excuse records that rank's node memory is gone: every in-flight commit
+// stops waiting for rank's acknowledgment and counts the shards it sent
+// there as lost, acknowledged or not. ReplicatedStore.FailNode calls it on
+// every surviving rank's store.
+func (s *DistStore) excuse(rank int) {
+	s.mu.Lock()
+	for key := range s.awaiting {
+		if key.from == rank {
+			s.awaiting[key] = ackLost
+		}
+	}
+	s.cond.Broadcast()
+	s.mu.Unlock()
+}
+
 // SetMembership installs the member ring new commits place against and
-// recovery queries sweep. Unlike ReplicatedStore's active migration, the
-// distributed store re-partitions lazily: existing lines stay where the
-// old ring put them and recovery decodes around holders that left (the
-// codec tolerates ≤m unreachable shards), while every line committed
-// after the change lands on the new ring. The next committed recovery
-// line therefore completes the re-partition, which is exactly when the
-// elastic runtime changes membership.
+// recovery queries sweep. The store re-partitions lazily: existing lines
+// stay where the old ring put them and recovery decodes around holders
+// that left (the codec tolerates ≤m unreachable shards), while every line
+// committed after the change lands on the new ring. The next committed
+// recovery line therefore completes the re-partition, which is exactly
+// when the elastic runtime changes membership. (ReplicatedStore, which
+// sees every node's memory, re-partitions actively instead.)
 func (s *DistStore) SetMembership(m member.Set) {
 	if m.Size() == 0 {
 		return
@@ -331,6 +426,13 @@ func (s *DistStore) CommitStats() (count int64, nanos int64) {
 	return s.commits, s.commitNanos
 }
 
+// BytesWritten returns the section bytes written through this store.
+func (s *DistStore) BytesWritten() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.bytesWritten
+}
+
 // ReplicatedBytes returns the fragment bytes shipped to peer nodes.
 func (s *DistStore) ReplicatedBytes() int64 {
 	s.mu.Lock()
@@ -338,17 +440,15 @@ func (s *DistStore) ReplicatedBytes() int64 {
 	return s.replicatedBytes
 }
 
-// StoredBytes returns the checkpoint bytes resident in THIS process's
-// memory: its own full copies plus the replica shards it holds for peers.
-// Summed across processes it is the world's stable-storage footprint.
+// StoredBytes returns the checkpoint bytes resident in THIS node's memory:
+// its own full copies plus the replica shards it holds for peers. Summed
+// across nodes it is the world's stable-storage footprint.
 func (s *DistStore) StoredBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var t int64
 	for _, ck := range s.node.local {
-		for _, d := range ck.sections {
-			t += int64(len(d))
-		}
+		t += sectionsBytes(ck.sections)
 	}
 	for _, f := range s.node.frags {
 		t += int64(len(f))
@@ -372,7 +472,8 @@ type distHandle struct {
 }
 
 // StoredSize reports the stable-storage bytes this commit occupies across
-// the world (local copy plus replica shards).
+// the world (local copy plus replica shards) — the numerator of the
+// storage-overhead ratio the ckpt stats expose as StoredBytes.
 func (h *distHandle) StoredSize() int64 { return h.stored }
 
 // Begin implements Store.
@@ -381,7 +482,7 @@ func (s *DistStore) Begin(rank, version int) (Checkpoint, error) {
 		return nil, fmt.Errorf("stable: dist store hosts rank %d, cannot write rank %d", s.self, rank)
 	}
 	s.mu.Lock()
-	delete(s.node.local, version)
+	delete(s.node.local, version) // discard uncommitted stale data
 	s.mu.Unlock()
 	return &distHandle{store: s, rank: rank, version: version, sections: make(map[string][]byte)}, nil
 }
@@ -404,9 +505,13 @@ func (h *distHandle) Abort() error {
 
 // Commit encodes the checkpoint through the store's codec, ships the
 // shards and commit marker to their holders, and waits for their
-// acknowledgments; a holder that never answers within the ack timeout (it
-// is dead, or the world is being torn down) is excused. Only then does the
-// version become locally committed.
+// acknowledgments. A holder is excused when it never answers within the
+// ack timeout (it is dead, or the world is being torn down) or when its
+// node is declared failed. Only then does the version become locally
+// committed, so a failed Commit never leaves a version visible to
+// LastCommitted. Under the dup codec the holders are the +1/+2 neighbors
+// (full copies, local copy kept); under an erasure codec each shard lands
+// on its own ring successor and no local copy is kept.
 func (h *distHandle) Commit() error {
 	if h.done {
 		return fmt.Errorf("stable: commit of finished checkpoint (%d,%d)", h.rank, h.version)
@@ -448,7 +553,7 @@ func (h *distHandle) Commit() error {
 	}
 	startEpoch := s.epoch
 	for _, nb := range targets {
-		s.awaiting[replAckKey{owner: h.rank, version: h.version, from: nb}] = false
+		s.awaiting[replAckKey{owner: h.rank, version: h.version, from: nb}] = ackPending
 		for _, idx := range sendPlan[nb] {
 			s.replicatedBytes += int64(len(units[idx]))
 			h.stored += int64(len(units[idx]))
@@ -463,12 +568,12 @@ func (h *distHandle) Commit() error {
 	var shippedBytes uint64
 	for _, nb := range targets {
 		for _, idx := range sendPlan[nb] {
-			s.send(nb, transport.Data, encodeReplFrag(h.rank, h.version, 0, rec.codec, len(shards), idx, units[idx]))
+			s.send(nb, transport.Data, encodeReplFrag(h.rank, h.version, rec.codec, len(shards), idx, units[idx]))
 			shippedBytes += uint64(len(units[idx]))
 		}
 		// The marker travels after the fragments on the same FIFO pair, so
 		// a stored marker implies the fragments preceding it arrived.
-		s.send(nb, transport.Control, encodeReplCommit(h.rank, h.version, 0, rec))
+		s.send(nb, transport.Control, encodeReplCommit(h.rank, h.version, rec))
 	}
 	shipSp.End(shippedBytes)
 
@@ -486,18 +591,24 @@ func (h *distHandle) Commit() error {
 	parityLost := false
 	wasFenced := false
 	for {
+		// A holder that has not acknowledged, or whose node failed after
+		// acknowledging, counts its shards as lost.
 		pending := 0
 		lostShards = 0
 		parityLost = false
 		for _, nb := range targets {
-			if !s.awaiting[replAckKey{owner: h.rank, version: h.version, from: nb}] {
+			st := s.awaiting[replAckKey{owner: h.rank, version: h.version, from: nb}]
+			if st == ackPending {
 				pending++
-				for _, idx := range sendPlan[nb] {
-					if idx >= len(shards) {
-						parityLost = true
-					} else {
-						lostShards++
-					}
+			}
+			if st == ackDone {
+				continue
+			}
+			for _, idx := range sendPlan[nb] {
+				if idx >= len(shards) {
+					parityLost = true
+				} else {
+					lostShards++
 				}
 			}
 		}
@@ -542,20 +653,20 @@ func (h *distHandle) Commit() error {
 		// installed and no hook fires — a fenced rank reports zero commits.
 		return fmt.Errorf("stable: commit (%d,%d) torn down while fenced: %w", h.rank, h.version, ErrFenced)
 	}
-	// Erasure-coded commits keep no local copy, so the ack-timeout excusal
-	// has a floor: if the unacknowledged holders account for more shards
-	// than the parity budget, the line cannot be reconstructed and success
+	// Erasure-coded commits keep no local copy, so excusal has a floor: if
+	// the unacknowledged or failed holders account for more shards than
+	// the parity budget, the line cannot be reconstructed and success
 	// would let the protocol retire the previous, recoverable line. An
-	// acknowledged cross-group parity shard lifts the floor: it alone
-	// reconstructs the blob, so a correlated *group-dead* loss — every
-	// group-local holder silent at once, far beyond the ≤m individual
-	// losses the ring excusal was built for — is excused the same way a
-	// single dead neighbor is. The teardown exits (interrupt, epoch
-	// advance, shutdown) keep their legacy semantics — recovery truncates
-	// and re-executes those lines.
+	// acknowledged cross-group parity shard on a live node lifts the
+	// floor: it alone reconstructs the blob, so a correlated *group-dead*
+	// loss — every group-local holder silent at once, far beyond the ≤m
+	// individual losses the ring excusal was built for — is excused the
+	// same way a single dead neighbor is. The teardown exits (interrupt,
+	// epoch advance, shutdown) keep their legacy semantics — recovery
+	// truncates and re-executes those lines.
 	parityAcked := parity >= 0 && !parityLost
 	if !keepLocal && !tornDown && len(shards)-lostShards < s.codec.DataShards() && !parityAcked {
-		return fmt.Errorf("stable: commit (%d,%d) missing acknowledgments for %d of %d shards (codec needs %d)",
+		return fmt.Errorf("stable: commit (%d,%d) lost %d of %d shards to silent or failed holders (codec needs %d)",
 			h.rank, h.version, lostShards, len(shards), s.codec.DataShards())
 	}
 	s.mu.Lock()
@@ -571,11 +682,11 @@ func (h *distHandle) Commit() error {
 // --- Daemon ---
 
 // daemon is the node's replication endpoint: it stores incoming fragments
-// and markers, acknowledges commits, answers recovery queries, applies
-// prunes, and routes acknowledgments and query responses to waiters.
-func (s *DistStore) daemon() {
+// and markers, acknowledges commits, answers recovery queries, applies and
+// acknowledges prunes, and routes acknowledgments and responses to
+// waiters.
+func (s *DistStore) daemon(ep transport.Port) {
 	defer s.wg.Done()
-	ep := s.net.Endpoint(s.self)
 	for {
 		msg, err := ep.Recv()
 		if err != nil {
@@ -587,7 +698,7 @@ func (s *DistStore) daemon() {
 		}
 		switch data[0] {
 		case replMsgFrag:
-			owner, version, _, _, _, idx, frag, err := decodeReplFrag(data)
+			owner, version, _, _, idx, frag, err := decodeReplFrag(data)
 			if err != nil {
 				continue
 			}
@@ -595,7 +706,7 @@ func (s *DistStore) daemon() {
 			s.node.frags[replFragKey{owner: owner, version: version, idx: idx}] = frag
 			s.mu.Unlock()
 		case replMsgCommit:
-			owner, version, _, rec, err := decodeReplCommit(data)
+			owner, version, rec, err := decodeReplCommit(data)
 			if err != nil {
 				continue
 			}
@@ -610,8 +721,8 @@ func (s *DistStore) daemon() {
 			}
 			s.mu.Lock()
 			key := replAckKey{owner: owner, version: version, from: from}
-			if _, waiting := s.awaiting[key]; waiting {
-				s.awaiting[key] = true
+			if st, waiting := s.awaiting[key]; waiting && st == ackPending {
+				s.awaiting[key] = ackDone
 				s.cond.Broadcast()
 			}
 			s.mu.Unlock()
@@ -633,7 +744,18 @@ func (s *DistStore) daemon() {
 			frag, found := s.node.frags[replFragKey{owner: owner, version: version, idx: idx}]
 			s.mu.Unlock()
 			s.send(msg.From, transport.Control, encodeDistRespFrag(reqID, found, frag))
-		case distMsgRespLast, distMsgRespFrag:
+		case distMsgPrune:
+			reqID, owner, version, above, err := decodeDistPrune(data)
+			if err != nil {
+				continue
+			}
+			s.mu.Lock()
+			s.node.prune(owner, pruneSelector(version, above))
+			s.mu.Unlock()
+			if reqID != 0 {
+				s.send(msg.From, transport.Control, encodeDistPruned(reqID))
+			}
+		case distMsgRespLast, distMsgRespFrag, distMsgPruned:
 			reqID, ok := peekDistReqID(data)
 			if !ok {
 				continue
@@ -643,27 +765,10 @@ func (s *DistStore) daemon() {
 			s.reqMu.Unlock()
 			if ch != nil {
 				select {
-				case ch <- data:
+				case ch <- distResp{from: msg.From, data: data}:
 				default: // waiter gave up or buffer full; drop
 				}
 			}
-		case distMsgPrune:
-			owner, version, above, err := decodeDistPrune(data)
-			if err != nil {
-				continue
-			}
-			s.mu.Lock()
-			for key := range s.node.frags {
-				if key.owner == owner && ((above && key.version > version) || (!above && key.version < version)) {
-					delete(s.node.frags, key)
-				}
-			}
-			for key := range s.node.commits {
-				if key.owner == owner && ((above && key.version > version) || (!above && key.version < version)) {
-					delete(s.node.commits, key)
-				}
-			}
-			s.mu.Unlock()
 		}
 	}
 }
@@ -708,13 +813,19 @@ type remoteLine struct {
 	holders map[int][]int // fragment idx -> peers holding it
 }
 
+// distResp is one peer's response to a request.
+type distResp struct {
+	from int
+	data replPayload
+}
+
 // newRequest registers a response channel for a fresh request id.
-func (s *DistStore) newRequest(buf int) (uint64, chan replPayload) {
+func (s *DistStore) newRequest(buf int) (uint64, chan distResp) {
 	s.reqMu.Lock()
 	defer s.reqMu.Unlock()
 	s.nextReq++
 	id := s.nextReq
-	ch := make(chan replPayload, buf)
+	ch := make(chan distResp, buf)
 	s.waiters[id] = ch
 	return id, ch
 }
@@ -725,53 +836,61 @@ func (s *DistStore) dropRequest(id uint64) {
 	s.reqMu.Unlock()
 }
 
-// queryPeers asks every peer what it holds for owner and merges the
-// responses, waiting until all peers answered or the query timeout passed.
-func (s *DistStore) queryPeers(owner int) map[int]*remoteLine {
-	reqID, ch := s.newRequest(s.n)
+// askPeers sends one request to every peer and collects the responses
+// until all peers answered or the query timeout passed.
+func (s *DistStore) askPeers(request func(reqID uint64) replPayload) []distResp {
+	peers := s.peerList()
+	reqID, ch := s.newRequest(len(peers))
 	defer s.dropRequest(reqID)
-	sweep := s.peerList()
-	for _, q := range sweep {
-		s.send(q, transport.Control, encodeDistQueryLast(reqID, owner))
+	p := request(reqID)
+	for _, q := range peers {
+		s.send(q, transport.Control, p)
 	}
-	peers := len(sweep)
-	lines := make(map[int]*remoteLine)
+	resps := make([]distResp, 0, len(peers))
 	deadline := time.After(s.queryTimeout)
-	for answered := 0; answered < peers; {
+	for len(resps) < len(peers) {
 		select {
-		case data := <-ch:
-			if len(data) == 0 || data[0] != distMsgRespLast {
-				continue
-			}
-			_, entries, err := decodeDistRespLast(data)
-			if err != nil {
-				continue
-			}
-			if s.logf != nil {
-				s.logf("dist: rank %d query owner=%d: peer response with %d entries", s.self, owner, len(entries))
-			}
-			// The response's From is not carried in the payload; holders are
-			// identified by a follow-up fragment query fan-out, so here we
-			// only record which versions exist and how complete they are.
-			for _, e := range entries {
-				rl := lines[e.version]
-				if rl == nil {
-					rl = &remoteLine{rec: e.rec, holders: make(map[int][]int)}
-					lines[e.version] = rl
-				}
-				for _, idx := range e.held {
-					rl.holders[idx] = append(rl.holders[idx], -1)
-				}
-			}
-			answered++
+		case r := <-ch:
+			resps = append(resps, r)
 		case <-deadline:
 			if s.logf != nil {
-				s.logf("dist: rank %d query owner=%d timed out with %d/%d peers answered", s.self, owner, answered, peers)
+				s.logf("dist: rank %d request kind %d timed out with %d/%d peers answered", s.self, p[0], len(resps), len(peers))
 			}
-			return lines
+			return resps
 		}
 	}
-	return lines
+	return resps
+}
+
+// queryPeers asks every peer what it holds for owner and merges the
+// responses: each version's marker and, per shard index, the peers that
+// hold it. answered records the peers that replied; the holdings of the
+// others are unknown.
+func (s *DistStore) queryPeers(owner int) (lines map[int]*remoteLine, answered map[int]bool) {
+	lines = make(map[int]*remoteLine)
+	answered = make(map[int]bool)
+	resps := s.askPeers(func(reqID uint64) replPayload { return encodeDistQueryLast(reqID, owner) })
+	for _, r := range resps {
+		if r.data[0] != distMsgRespLast {
+			continue
+		}
+		_, entries, err := decodeDistRespLast(r.data)
+		if err != nil {
+			continue
+		}
+		answered[r.from] = true
+		for _, e := range entries {
+			rl := lines[e.version]
+			if rl == nil {
+				rl = &remoteLine{rec: e.rec, holders: make(map[int][]int)}
+				lines[e.version] = rl
+			}
+			for _, idx := range e.held {
+				rl.holders[idx] = append(rl.holders[idx], r.from)
+			}
+		}
+	}
+	return lines, answered
 }
 
 // complete reports whether enough distinct shards of the line were seen
@@ -808,7 +927,7 @@ func (s *DistStore) LastCommitted(rank int) (int, bool, error) {
 			return best, true, nil
 		}
 	}
-	lines := s.queryPeers(rank)
+	lines, _ := s.queryPeers(rank)
 	versions := make([]int, 0, len(lines))
 	for v := range lines {
 		versions = append(versions, v)
@@ -822,9 +941,11 @@ func (s *DistStore) LastCommitted(rank int) (int, bool, error) {
 	return 0, false, nil
 }
 
-// Open implements Store. A missing local copy is reassembled from peer
-// fragments fetched over the wire, validated against the commit marker,
-// and re-installed locally (the restarted node re-hosting its line).
+// Open implements Store. A missing local copy (always, for the erasure
+// codecs) is reassembled from peer shards fetched over the wire —
+// tolerating up to m missing or digest-mismatched ones — validated against
+// the commit marker, and re-installed locally (the restarted node
+// re-hosting its line, as ReStore's re-distribution does).
 func (s *DistStore) Open(rank, version int) (Snapshot, error) {
 	s.mu.Lock()
 	if rank == s.self {
@@ -839,17 +960,20 @@ func (s *DistStore) Open(rank, version int) (Snapshot, error) {
 	s.mu.Unlock()
 
 	reSp := trace.Default().Begin(int32(s.self), trace.KindReassemble, 0, uint64(version))
-	lines := s.queryPeers(rank)
+	lines, answered := s.queryPeers(rank)
 	rl, ok := lines[version]
 	if !ok {
 		reSp.End(0)
 		return nil, fmt.Errorf("%w: rank %d version %d (no local copy, no peer commit marker)", ErrNotFound, rank, version)
 	}
 	// Fetch shards until the codec can reconstruct; a shard unreachable or
-	// digest-mismatched on every peer counts as lost, which the erasure
-	// codecs tolerate up to their parity count. When group-local shards
-	// fall short (a whole group died together), the cross-group parity
-	// shard — the whole blob, one group over — is fetched instead.
+	// digest-mismatched on every candidate counts as lost, which the
+	// erasure codecs tolerate up to their parity count. When group-local
+	// shards fall short (a whole group died together), the cross-group
+	// parity shard — the whole blob, one group over — is fetched instead.
+	// The first pass asks only the peers that reported holding a shard; the
+	// peers that did not answer the query are swept only when that falls
+	// short.
 	_, hasCross := rl.rec.crossHolder()
 	units := rl.rec.frags
 	if hasCross {
@@ -857,17 +981,28 @@ func (s *DistStore) Open(rank, version int) (Snapshot, error) {
 	}
 	shards := make([][]byte, units)
 	valid := 0
-	for idx := 0; idx < rl.rec.frags && valid < rl.rec.need(); idx++ {
-		frag, ok := s.fetchFrag(rank, version, idx, rl.rec)
-		if !ok {
-			continue
+	enough := func() bool { return valid >= rl.rec.need() || (hasCross && shards[rl.rec.frags] != nil) }
+	var silent []int
+	for _, q := range s.peerList() {
+		if !answered[q] {
+			silent = append(silent, q)
 		}
-		shards[idx] = frag
-		valid++
 	}
-	if hasCross && valid < rl.rec.need() {
-		if frag, ok := s.fetchFrag(rank, version, rl.rec.frags, rl.rec); ok {
-			shards[rl.rec.frags] = frag
+	for pass := 0; pass < 2 && !enough(); pass++ {
+		for idx := 0; idx < units && !enough(); idx++ {
+			cands := rl.holders[idx]
+			if pass == 1 {
+				cands = silent
+			}
+			if shards[idx] != nil || len(cands) == 0 {
+				continue
+			}
+			if frag, ok := s.fetchFrag(rank, version, idx, rl.rec, cands); ok {
+				shards[idx] = frag
+				if idx < rl.rec.frags {
+					valid++
+				}
+			}
 		}
 	}
 	sections, err := reassembleSections(rl.rec, shards)
@@ -886,20 +1021,21 @@ func (s *DistStore) Open(rank, version int) (Snapshot, error) {
 	return &memSnap{ck: ck}, nil
 }
 
-// fetchFrag asks each peer in turn for one fragment, repeating the sweep
-// up to the configured retry count (a peer may still be re-dialing this
-// process's freshly bound mesh when the first round goes out). A fetched
-// copy that fails the marker's per-shard digest is rejected and the sweep
-// continues — a corrupt replica must not mask a valid one elsewhere.
-func (s *DistStore) fetchFrag(owner, version, idx int, rec replCommitRec) ([]byte, bool) {
+// fetchFrag asks the candidate peers in turn for one shard, repeating the
+// sweep up to the configured retry count (a peer may still be re-dialing
+// this process's freshly bound mesh when the first round goes out). A
+// fetched copy that fails the marker's per-shard digest is rejected and
+// the sweep continues — a corrupt replica must not mask a valid one
+// elsewhere.
+func (s *DistStore) fetchFrag(owner, version, idx int, rec replCommitRec, cands []int) ([]byte, bool) {
 	for round := 0; round < s.queryRetries; round++ {
-		for _, q := range s.peerList() {
+		for _, q := range cands {
 			reqID, ch := s.newRequest(1)
 			s.send(q, transport.Control, encodeDistQueryFrag(reqID, owner, version, idx))
 			select {
-			case data := <-ch:
+			case r := <-ch:
 				s.dropRequest(reqID)
-				_, found, frag, err := decodeDistRespFrag(data)
+				_, found, frag, err := decodeDistRespFrag(r.data)
 				if err == nil && found && rec.shardValid(idx, frag) {
 					return frag, true
 				}
@@ -911,8 +1047,8 @@ func (s *DistStore) fetchFrag(owner, version, idx int, rec replCommitRec) ([]byt
 	return nil, false
 }
 
-// Retire implements Store: prune old local versions and tell peers to drop
-// the fragments and markers they hold below the floor.
+// Retire implements Store: prune old local versions and the fragments and
+// markers peers hold below the floor.
 func (s *DistStore) Retire(rank, version int) error {
 	return s.prune(rank, version, false)
 }
@@ -923,34 +1059,38 @@ func (s *DistStore) Truncate(rank, version int) error {
 	return s.prune(rank, version, true)
 }
 
+// pruneSelector selects the versions a prune drops: those above version
+// (Truncate) or below it (Retire).
+func pruneSelector(version int, above bool) func(int) bool {
+	if above {
+		return func(v int) bool { return v > version }
+	}
+	return func(v int) bool { return v < version }
+}
+
+// prune drops the rank's selected versions from this node and every peer.
+// FIFO ordering per pair lands the prune before any later re-committed
+// fragments for the same versions. With syncPrune, peers acknowledge the
+// prune and it returns once all answered or the query timeout passed.
 func (s *DistStore) prune(rank, version int, above bool) error {
+	drop := pruneSelector(version, above)
+	s.mu.Lock()
 	if rank == s.self {
-		s.mu.Lock()
 		for v := range s.node.local {
-			if (above && v > version) || (!above && v < version) {
+			if drop(v) {
 				delete(s.node.local, v)
 			}
 		}
-		s.mu.Unlock()
 	}
-	// Prune what this node and every peer hold for the rank. FIFO ordering
-	// per pair guarantees the prune lands before any later re-committed
-	// fragments for the same versions.
-	p := encodeDistPrune(rank, version, above)
-	s.mu.Lock()
-	for key := range s.node.frags {
-		if key.owner == rank && ((above && key.version > version) || (!above && key.version < version)) {
-			delete(s.node.frags, key)
-		}
-	}
-	for key := range s.node.commits {
-		if key.owner == rank && ((above && key.version > version) || (!above && key.version < version)) {
-			delete(s.node.commits, key)
-		}
-	}
+	s.node.prune(rank, drop)
 	s.mu.Unlock()
+	request := func(reqID uint64) replPayload { return encodeDistPrune(reqID, rank, version, above) }
+	if s.syncPrune {
+		s.askPeers(request)
+		return nil
+	}
 	for _, q := range s.peerList() {
-		s.send(q, transport.Control, p)
+		s.send(q, transport.Control, request(0)) // request id 0: no acknowledgment
 	}
 	return nil
 }
@@ -966,4 +1106,5 @@ const (
 	distMsgQueryFrag
 	distMsgRespFrag
 	distMsgPrune
+	distMsgPruned
 )

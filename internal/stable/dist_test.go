@@ -11,7 +11,7 @@ import (
 
 // distWorld builds n DistStores sharing one in-memory network, the
 // single-process stand-in for n processes on a TCP mesh.
-func distWorld(t *testing.T, n int, opts ...DistOption) []*DistStore {
+func distWorld(t *testing.T, n int, opts ...Option) []*DistStore {
 	t.Helper()
 	nw := transport.NewNetwork(n)
 	stores := make([]*DistStore, n)
@@ -26,13 +26,6 @@ func distWorld(t *testing.T, n int, opts ...DistOption) []*DistStore {
 	})
 	return stores
 }
-
-// sharedNet lets n DistStores share one in-memory Network: Shutdown is
-// deferred to the test cleanup so closing one store does not sever the
-// others.
-type sharedNet struct{ transport.Interconnect }
-
-func (s *sharedNet) Shutdown() {}
 
 func writeDistCommitted(t *testing.T, s *DistStore, rank, version int, sections map[string][]byte) {
 	t.Helper()
@@ -253,7 +246,7 @@ func TestDistStoreCommitHook(t *testing.T) {
 	nw := transport.NewNetwork(3)
 	stores := make([]*DistStore, 3)
 	for r := 0; r < 3; r++ {
-		opts := []DistOption{}
+		opts := []Option{}
 		if r == 0 {
 			opts = append(opts, WithCommitHook(hook))
 		}
@@ -307,7 +300,7 @@ func TestDistStoreRSCodecRecoversAfterDualWipe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stores := distWorld(t, 6, WithDistCodec(rs))
+	stores := distWorld(t, 6, WithCodec(rs))
 	payload := make([]byte, 10_000)
 	for i := range payload {
 		payload[i] = byte(i * 7)
@@ -351,7 +344,7 @@ func TestDistStoreRSCodecRecoversAfterDualWipe(t *testing.T) {
 // fraction of the dup footprint for the same checkpoints.
 func TestDistStoreCodecStoredBytes(t *testing.T) {
 	payload := make([]byte, 32*1024)
-	measure := func(opts ...DistOption) int64 {
+	measure := func(opts ...Option) int64 {
 		stores := distWorld(t, 6, opts...)
 		for r := 0; r < 6; r++ {
 			writeDistCommitted(t, stores[r], r, 1, map[string][]byte{"app": payload})
@@ -367,7 +360,7 @@ func TestDistStoreCodecStoredBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coded := measure(WithDistCodec(rs))
+	coded := measure(WithCodec(rs))
 	ratio := float64(coded) / float64(dup)
 	t.Logf("dist stored bytes: dup=%d rs=%d ratio=%.3f", dup, coded, ratio)
 	if ratio > 0.6 {
@@ -385,7 +378,7 @@ func TestDistStoreCodedCommitFailsWithoutQuorum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stores := distWorld(t, 5, WithDistCodec(rs), WithAckTimeout(200*time.Millisecond), WithQueryTimeout(200*time.Millisecond))
+	stores := distWorld(t, 5, WithCodec(rs), WithAckTimeout(200*time.Millisecond), WithQueryTimeout(200*time.Millisecond))
 	// Rank 0's four shards land on successors 1..4; kill three of them.
 	for _, r := range []int{1, 2, 3} {
 		stores[r].net.Kill(r)
@@ -405,7 +398,7 @@ func TestDistStoreCodedCommitFailsWithoutQuorum(t *testing.T) {
 	}
 
 	// Losing exactly the parity budget is excused: the line still exists.
-	stores2 := distWorld(t, 5, WithDistCodec(rs), WithAckTimeout(200*time.Millisecond), WithQueryTimeout(200*time.Millisecond))
+	stores2 := distWorld(t, 5, WithCodec(rs), WithAckTimeout(200*time.Millisecond), WithQueryTimeout(200*time.Millisecond))
 	for _, r := range []int{1, 2} {
 		stores2[r].net.Kill(r)
 	}

@@ -95,20 +95,31 @@ func decodeDistRespFrag(data replPayload) (reqID uint64, found bool, frag []byte
 	return reqID, found, frag, r.Err()
 }
 
-func encodeDistPrune(owner, version int, above bool) replPayload {
-	w := wire.NewWriter(24)
+func encodeDistPrune(reqID uint64, owner, version int, above bool) replPayload {
+	w := wire.NewWriter(32)
 	w.U8(distMsgPrune)
+	w.U64(reqID)
 	w.Int(owner)
 	w.Int(version)
 	w.Bool(above)
 	return replPayload(w.Bytes())
 }
 
-func decodeDistPrune(data replPayload) (owner, version int, above bool, err error) {
+func decodeDistPrune(data replPayload) (reqID uint64, owner, version int, above bool, err error) {
 	r := wire.NewReader(data[1:])
+	reqID = r.U64()
 	owner, version = r.Int(), r.Int()
 	above = r.Bool()
-	return owner, version, above, r.Err()
+	return reqID, owner, version, above, r.Err()
+}
+
+// encodeDistPruned acknowledges an applied prune; the request id is its
+// whole body.
+func encodeDistPruned(reqID uint64) replPayload {
+	w := wire.NewWriter(9)
+	w.U8(distMsgPruned)
+	w.U64(reqID)
+	return replPayload(w.Bytes())
 }
 
 // peekDistReqID extracts the request id from a response payload without

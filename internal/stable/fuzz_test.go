@@ -14,18 +14,19 @@ func FuzzReplDecode(f *testing.F) {
 	blob := encodeReplSections(sections)
 	f.Add([]byte(blob))
 	frags := splitFragments(blob, 2)
-	f.Add([]byte(encodeReplFrag(1, 3, 0, CodecDup, 2, 0, frags[0])))
-	f.Add([]byte(encodeReplCommit(1, 3, 0, replCommitRec{codec: CodecDup, frags: 2, data: 2, total: len(blob), sum: replSum(blob), sums: shardSums(frags)})))
+	f.Add([]byte(encodeReplFrag(1, 3, CodecDup, 2, 0, frags[0])))
+	f.Add([]byte(encodeReplCommit(1, 3, replCommitRec{codec: CodecDup, frags: 2, data: 2, total: len(blob), sum: replSum(blob), sums: shardSums(frags)})))
 	rs, _ := NewCodec("rs", 4, 2)
 	rsShards, _ := rs.Encode(blob)
-	f.Add([]byte(encodeReplFrag(1, 3, 0, CodecRS, 6, 5, rsShards[5])))
-	f.Add([]byte(encodeReplCommit(1, 3, 0, replCommitRec{codec: CodecRS, frags: 6, data: 4, total: len(blob), sum: replSum(blob), sums: shardSums(rsShards)})))
+	f.Add([]byte(encodeReplFrag(1, 3, CodecRS, 6, 5, rsShards[5])))
+	f.Add([]byte(encodeReplCommit(1, 3, replCommitRec{codec: CodecRS, frags: 6, data: 4, total: len(blob), sum: replSum(blob), sums: shardSums(rsShards)})))
 	f.Add([]byte(encodeReplAck(1, 3, 2)))
 	f.Add([]byte(encodeDistQueryLast(9, 1)))
 	f.Add([]byte(encodeDistRespLast(9, []distLastEntry{{version: 3, rec: replCommitRec{frags: 2, total: 10, sum: 42}, held: []int{0, 1}}})))
 	f.Add([]byte(encodeDistQueryFrag(10, 1, 3, 0)))
 	f.Add([]byte(encodeDistRespFrag(10, true, frags[1])))
-	f.Add([]byte(encodeDistPrune(1, 3, true)))
+	f.Add([]byte(encodeDistPrune(11, 1, 3, true)))
+	f.Add([]byte(encodeDistPruned(11)))
 	f.Add(blob[:len(blob)/2])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -34,14 +35,14 @@ func FuzzReplDecode(f *testing.F) {
 			return
 		}
 		p := replPayload(data)
-		_, _, _, _, _, _, _, _ = decodeReplFrag(p)
-		_, _, _, _, _ = decodeReplCommit(p)
+		_, _, _, _, _, _, _ = decodeReplFrag(p)
+		_, _, _, _ = decodeReplCommit(p)
 		_, _, _, _ = decodeReplAck(p)
 		_, _, _ = decodeDistQueryLast(p)
 		_, _, _ = decodeDistRespLast(p)
 		_, _, _, _, _ = decodeDistQueryFrag(p)
 		_, _, _, _ = decodeDistRespFrag(p)
-		_, _, _, _ = decodeDistPrune(p)
+		_, _, _, _, _ = decodeDistPrune(p)
 		_, _ = peekDistReqID(p)
 	})
 }

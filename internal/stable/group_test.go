@@ -127,9 +127,9 @@ func TestReplicatedGroupedRepartition(t *testing.T) {
 	s.SetMembership(m)
 	topo := member.NewTopology(m, g)
 
-	s.mu.Lock()
-	rec, ok := s.nodes[topo.ParityHolder(5)].commits[replCommitKey{owner: 5, version: 1}]
-	s.mu.Unlock()
+	nodes, unlock := s.lockNodes()
+	rec, ok := nodes[topo.ParityHolder(5)].commits[replCommitKey{owner: 5, version: 1}]
+	unlock()
 	if !ok {
 		t.Fatalf("new parity holder %d has no marker after re-partition", topo.ParityHolder(5))
 	}
@@ -160,7 +160,7 @@ func TestDistStoreGroupLossRecoveredViaParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n, g = 10, 5
-	stores := distWorld(t, n, WithDistCodec(rs), WithDistGroupSize(g))
+	stores := distWorld(t, n, WithCodec(rs), WithGroupSize(g))
 	payload := make([]byte, 8_000)
 	for i := range payload {
 		payload[i] = byte(i * 7)
@@ -202,7 +202,7 @@ func TestDistStoreCommitExcusesGroupDeadNeighbors(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n, g = 10, 5
-	stores := distWorld(t, n, WithDistCodec(rs), WithDistGroupSize(g),
+	stores := distWorld(t, n, WithCodec(rs), WithGroupSize(g),
 		WithAckTimeout(200*time.Millisecond), WithQueryTimeout(200*time.Millisecond))
 
 	// Rank 0's group-local holders are ranks 1..4; silence them all before

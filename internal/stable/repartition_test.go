@@ -57,10 +57,10 @@ func lossCombos(shards, m int) [][]int {
 // dropLine removes the owner's local copy and every node's copy of the
 // given shard indexes for (owner, version), returning an undo closure.
 func dropLine(s *ReplicatedStore, owner, version int, lost []int) func() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	savedLocal := s.nodes[owner].local[version]
-	delete(s.nodes[owner].local, version)
+	nodes, unlock := s.lockNodes()
+	defer unlock()
+	savedLocal := nodes[owner].local[version]
+	delete(nodes[owner].local, version)
 	type stash struct {
 		node int
 		key  replFragKey
@@ -69,7 +69,7 @@ func dropLine(s *ReplicatedStore, owner, version int, lost []int) func() {
 	var saved []stash
 	for _, idx := range lost {
 		key := replFragKey{owner: owner, version: version, idx: idx}
-		for r, node := range s.nodes {
+		for r, node := range nodes {
 			if frag, ok := node.frags[key]; ok {
 				saved = append(saved, stash{node: r, key: key, frag: frag})
 				delete(node.frags, key)
@@ -77,16 +77,16 @@ func dropLine(s *ReplicatedStore, owner, version int, lost []int) func() {
 		}
 	}
 	return func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
+		nodes, unlock := s.lockNodes()
+		defer unlock()
 		// Open re-installs a reassembled local copy; discard it so the next
 		// loss pattern exercises reassembly again, then restore the stash.
-		delete(s.nodes[owner].local, version)
+		delete(nodes[owner].local, version)
 		if savedLocal != nil {
-			s.nodes[owner].local[version] = savedLocal
+			nodes[owner].local[version] = savedLocal
 		}
 		for _, st := range saved {
-			s.nodes[st.node].frags[st.key] = st.frag
+			nodes[st.node].frags[st.key] = st.frag
 		}
 	}
 }
@@ -95,10 +95,10 @@ func dropLine(s *ReplicatedStore, owner, version int, lost []int) func() {
 // holder the current member ring assigns it.
 func assertPlacement(t *testing.T, s *ReplicatedStore, m member.Set, owner, version int) {
 	t.Helper()
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	nodes, unlock := s.lockNodes()
+	defer unlock()
 	rec, ok := func() (replCommitRec, bool) {
-		for _, node := range s.nodes {
+		for _, node := range nodes {
 			if rec, ok := node.commits[replCommitKey{owner: owner, version: version}]; ok {
 				return rec, true
 			}
@@ -114,12 +114,12 @@ func assertPlacement(t *testing.T, s *ReplicatedStore, m member.Set, owner, vers
 	}
 	sendPlan, holders, _, _ := commitPlan(codec, owner, rec.frags, member.NewTopology(m, 0))
 	for _, h := range holders {
-		if _, ok := s.nodes[h].commits[replCommitKey{owner: owner, version: version}]; !ok {
+		if _, ok := nodes[h].commits[replCommitKey{owner: owner, version: version}]; !ok {
 			t.Fatalf("owner %d: holder %d missing commit marker under %s", owner, h, m)
 		}
 		for _, idx := range sendPlan[h] {
 			key := replFragKey{owner: owner, version: version, idx: idx}
-			if frag, ok := s.nodes[h].frags[key]; !ok || !rec.shardValid(idx, frag) {
+			if frag, ok := nodes[h].frags[key]; !ok || !rec.shardValid(idx, frag) {
 				t.Fatalf("owner %d: holder %d missing shard %d under %s", owner, h, idx, m)
 			}
 		}

@@ -10,66 +10,361 @@ import (
 	"c3/internal/wire"
 )
 
-// ReplicatedStore is a diskless, ReStore-style stable store: every rank
-// keeps its own checkpoints in node-local memory and, at commit time,
-// spreads the checkpoint's fragments to its +1/+2 neighbor ranks over a
-// dedicated replication interconnect (an internal/transport network, so
-// replication traffic has FIFO ordering, latency modeling and delivery
-// counters like any other interconnect in the reproduction).
+// ReplicatedStore is the diskless, ReStore-style stable store of an
+// in-process world: n DistStores, one per rank's node memory, on one
+// in-memory transport.Network (so replication traffic has FIFO ordering,
+// latency modeling and delivery counters like any other interconnect in
+// the reproduction). Begin, LastCommitted, Open, Retire and Truncate route
+// to the rank's own store, so every in-process run exercises the same
+// commit, acknowledgment, query and reassembly protocol a multi-process
+// deployment runs over TCP.
 //
-// Failure model: when the runtime injects a fail-stop failure it calls
-// FailNode, which wipes everything in the failed node's memory — its own
-// checkpoints and the replica fragments it held for peers — and invalidates
-// replication messages still in flight toward it (they belong to the dead
-// incarnation). The restarted rank's recovery then finds no local copy and
-// reassembles its last committed line from the fragments surviving on peer
-// nodes; a committed line is lost only if the owner and both replica
-// holders fail together.
-//
-// Commit is synchronous-replicated: it returns once every live neighbor has
-// acknowledged the fragments and the commit marker, so a line reported
+// Commit is synchronous-replicated: it returns once every live holder has
+// acknowledged the shards and the commit marker, so a line reported
 // committed is immediately recoverable from peers. Combined with the ckpt
 // layer's asynchronous commit pipeline, the acknowledgment wait happens on
 // the background committer, off the application's critical path.
+//
+// Two pieces of logic exist only in-process. FailNode models a fail-stop
+// node loss: the rank's memory (its own checkpoints and the shards it held
+// for peers) is replaced by an empty DistStore, replication traffic still
+// in flight to the dead incarnation is dropped, and every survivor's
+// in-flight commit stops waiting for it. The restarted rank's recovery
+// then finds no local copy and reassembles its last committed line from
+// the shards surviving on peers. SetMembership re-partitions committed
+// lines actively across the n node memories, where a DistStore over TCP
+// re-partitions lazily.
 type ReplicatedStore struct {
-	n         int
-	codec     Codec
-	groupSize int // checkpoint group size g; 0 = flat world
-	net       *transport.Network
+	n    int
+	opts []Option
+	net  *transport.Network
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	members  member.Set
-	nodes    []*replNode
-	awaiting map[replAckKey]bool
-	closed   bool
-
-	bytesWritten    int64
-	replicatedBytes int64
-	reassemblies    int64
-	migrations      int64
-
-	wg sync.WaitGroup
+	mu         sync.Mutex
+	stores     []*DistStore
+	gone       storeCounters // counters of the stores FailNode discarded
+	migrations int64
 }
 
-// replNode is one rank's memory: its own checkpoints plus holdings for
-// peers. incarnation advances on FailNode so in-flight replication traffic
-// addressed to the dead incarnation is dropped instead of resurrecting
-// state the failure destroyed.
-type replNode struct {
-	incarnation uint64
-	local       map[int]*memCkpt
-	frags       map[replFragKey][]byte
-	commits     map[replCommitKey]replCommitRec
+// storeCounters are the per-store counters ReplicatedStore sums.
+type storeCounters struct {
+	written, replicated, reassemblies int64
 }
 
-type replFragKey struct {
-	owner, version, idx int
+func (st *DistStore) counters() storeCounters {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return storeCounters{st.bytesWritten, st.replicatedBytes, st.reassemblies}
 }
 
-type replCommitKey struct {
-	owner, version int
+func (c *storeCounters) add(o storeCounters) {
+	c.written += o.written
+	c.replicated += o.replicated
+	c.reassemblies += o.reassemblies
 }
+
+// sharedNet is one rank's view of a network shared with other stores:
+// closing that rank's store must not shut the others' endpoints down.
+type sharedNet struct{ transport.Interconnect }
+
+func (sharedNet) Shutdown() {}
+
+// NewReplicatedStore creates a replicated in-memory store for a world of n
+// ranks. It takes the DistStore options; WithReplicationLatency applies to
+// its replication network. The store owns n replication daemons (one per
+// node); call Close when done with it.
+func NewReplicatedStore(n int, opts ...Option) *ReplicatedStore {
+	if n <= 0 {
+		panic("stable: replicated store needs a positive world size")
+	}
+	// Peers acknowledge prunes, so StoredBytes is exact after Retire/Truncate.
+	opts = append(opts[:len(opts):len(opts)], func(c *storeConfig) { c.syncPrune = true })
+	cfg := newStoreConfig(n, opts)
+	s := &ReplicatedStore{
+		n:      n,
+		opts:   opts,
+		net:    transport.NewNetwork(n, cfg.netOpts...),
+		stores: make([]*DistStore, n),
+	}
+	for r := range s.stores {
+		s.stores[r] = NewDistStore(r, n, sharedNet{s.net}, opts...)
+	}
+	return s
+}
+
+// Close shuts the replication fabric and daemons down. Outstanding commits
+// unblock with their current acknowledgment state.
+func (s *ReplicatedStore) Close() {
+	s.net.Shutdown()
+	s.mu.Lock()
+	stores := append([]*DistStore(nil), s.stores...)
+	s.mu.Unlock()
+	for _, st := range stores {
+		st.Close()
+	}
+}
+
+// store returns the rank's current node memory.
+func (s *ReplicatedStore) store(rank int) *DistStore {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stores[rank]
+}
+
+// Begin implements Store.
+func (s *ReplicatedStore) Begin(rank, version int) (Checkpoint, error) {
+	return s.store(rank).Begin(rank, version)
+}
+
+// LastCommitted implements Store: the newest version committed locally or,
+// when the local memory was lost, the newest version whose shards and
+// commit marker survive on peers.
+func (s *ReplicatedStore) LastCommitted(rank int) (int, bool, error) {
+	return s.store(rank).LastCommitted(rank)
+}
+
+// Open implements Store: a line missing from the owner's memory is
+// reassembled from peer shards and re-installed there.
+func (s *ReplicatedStore) Open(rank, version int) (Snapshot, error) {
+	return s.store(rank).Open(rank, version)
+}
+
+// Retire implements Store: it prunes the rank's old versions everywhere.
+func (s *ReplicatedStore) Retire(rank, version int) error {
+	return s.store(rank).Retire(rank, version)
+}
+
+// Truncate implements Store: it drops the rank's versions above the
+// recovery line everywhere, so a dead generation's lines cannot resurface.
+func (s *ReplicatedStore) Truncate(rank, version int) error {
+	return s.store(rank).Truncate(rank, version)
+}
+
+// FailNode implements NodeFailer: the node's memory is lost. The rank's
+// endpoint restarts, so replication traffic still in flight to the dead
+// incarnation is dropped, and a fresh, empty store takes its place; every
+// survivor's in-flight commit stops waiting for the rank and counts the
+// shards it sent there as lost.
+func (s *ReplicatedStore) FailNode(rank int) {
+	s.mu.Lock()
+	old := s.stores[rank]
+	s.net.Restart(rank)
+	s.gone.add(old.counters())
+	fresh := NewDistStore(rank, s.n, sharedNet{s.net}, s.opts...)
+	fresh.SetMembership(old.Members())
+	s.stores[rank] = fresh
+	survivors := append([]*DistStore(nil), s.stores...)
+	s.mu.Unlock()
+	old.Close() // releases the dead incarnation's own in-flight commits
+	for r, st := range survivors {
+		if r != rank {
+			st.excuse(rank)
+		}
+	}
+}
+
+// totals sums the counters of every store, including discarded ones.
+func (s *ReplicatedStore) totals() storeCounters {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t := s.gone
+	for _, st := range s.stores {
+		t.add(st.counters())
+	}
+	return t
+}
+
+// BytesWritten returns the section bytes written to node-local memory.
+func (s *ReplicatedStore) BytesWritten() int64 { return s.totals().written }
+
+// ReplicatedBytes returns the fragment bytes shipped to peer nodes.
+func (s *ReplicatedStore) ReplicatedBytes() int64 { return s.totals().replicated }
+
+// Reassemblies reports how many checkpoints were rebuilt from peer
+// fragments because the owner's local copy was gone — the disk-free
+// recovery path.
+func (s *ReplicatedStore) Reassemblies() int64 { return s.totals().reassemblies }
+
+// StoredBytes returns the checkpoint bytes currently resident across all
+// node memories: full local copies plus replica shards. Divided by the
+// world size it is the per-rank memory tax the codec ablation measures.
+func (s *ReplicatedStore) StoredBytes() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var t int64
+	for _, st := range s.stores {
+		t += st.StoredBytes()
+	}
+	return t
+}
+
+// NetworkStats returns the replication interconnect's delivery counters.
+func (s *ReplicatedStore) NetworkStats() transport.Stats { return s.net.Stats() }
+
+// Members returns the membership current placement runs against.
+func (s *ReplicatedStore) Members() member.Set { return s.store(0).Members() }
+
+// Topology returns the checkpoint-group topology placement runs against.
+func (s *ReplicatedStore) Topology() member.Topology { return s.store(0).Topology() }
+
+// Migrations reports how many committed lines were re-placed by
+// SetMembership.
+func (s *ReplicatedStore) Migrations() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.migrations
+}
+
+// lockNodes locks the store and every rank's DistStore and returns their
+// node memories, for work that spans all of them; unlock releases
+// everything. Holding s.mu throughout means no other caller locks two
+// DistStores at once.
+func (s *ReplicatedStore) lockNodes() (nodes []*replNode, unlock func()) {
+	s.mu.Lock()
+	nodes = make([]*replNode, len(s.stores))
+	for r, st := range s.stores {
+		st.mu.Lock()
+		nodes[r] = st.node
+	}
+	return nodes, func() {
+		for _, st := range s.stores {
+			st.mu.Unlock()
+		}
+		s.mu.Unlock()
+	}
+}
+
+// SetMembership installs a new member ring and actively re-partitions the
+// committed lines of every member owner onto it: each line's shards are
+// recomputed against the new ring (reconstructing lost ones through the
+// codec when at least k survive) and installed on the new holders, and
+// holdings on ranks the new plan no longer assigns are dropped. After it
+// returns, every line that was reconstructible before the change is again
+// reconstructible with the full ≤m loss tolerance under the new ring —
+// the in-memory analogue of ReStore's re-distribution. Lines owned by
+// ranks outside the new membership are left where they are: a drained
+// owner's lines are retired with it, not rebalanced.
+func (s *ReplicatedStore) SetMembership(m member.Set) {
+	nodes, unlock := s.lockNodes()
+	defer unlock()
+	same := m.SameMembers(s.stores[0].members)
+	for _, st := range s.stores {
+		st.members = m
+	}
+	if same {
+		return
+	}
+	// Collect every committed line (marker may survive on several holders;
+	// they are identical for one (owner, version)).
+	lines := make(map[replCommitKey]replCommitRec)
+	for _, node := range nodes {
+		for key, rec := range node.commits {
+			lines[key] = rec
+		}
+	}
+	topo := member.NewTopology(m, s.stores[0].groupSize)
+	for key, rec := range lines {
+		if !m.Contains(key.owner) {
+			continue
+		}
+		codec, err := rec.codecOf()
+		if err != nil {
+			continue
+		}
+		sendPlan, holders, _, parity := commitPlan(codec, key.owner, rec.frags, topo)
+		shards, blob := gatherShards(nodes, key.owner, key.version, rec, parity >= 0)
+		if shards == nil {
+			continue // already below k survivors; nothing to re-place
+		}
+		oldFrags := rec.frags
+		rec.cross = parity + 1
+		held := make(map[int]bool, len(holders))
+		for _, h := range holders {
+			held[h] = true
+		}
+		for _, nb := range holders {
+			nodes[nb].commits[key] = rec
+			for _, idx := range sendPlan[nb] {
+				frag := blob // the cross-group parity shard is the blob itself
+				if idx < rec.frags {
+					frag = shards[idx]
+				}
+				if frag == nil {
+					continue // incomplete dup line: move what survives
+				}
+				nodes[nb].frags[replFragKey{owner: key.owner, version: key.version, idx: idx}] =
+					append([]byte(nil), frag...)
+			}
+		}
+		for r, node := range nodes {
+			if held[r] {
+				continue
+			}
+			delete(node.commits, key)
+			for idx := 0; idx <= oldFrags; idx++ {
+				delete(node.frags, replFragKey{owner: key.owner, version: key.version, idx: idx})
+			}
+		}
+		s.migrations++
+	}
+}
+
+// gatherShards assembles the full digest-valid shard set of one line,
+// reconstructing missing shards through the codec — or from a surviving
+// cross-group parity shard — when possible. It also returns the whole
+// blob when a surviving parity shard supplies it or wantBlob forces a
+// rebuild (the new plan needs a parity shard to install). Returns
+// (nil, nil) when the line is unreconstructible; a reconstruction failure
+// falls back to the surviving shards (nil gaps), which still carry
+// everything the old ring held.
+func gatherShards(nodes []*replNode, owner, version int, rec replCommitRec, wantBlob bool) ([][]byte, []byte) {
+	shards := make([][]byte, rec.frags)
+	valid := 0
+	for idx := range shards {
+		if frag, ok := findFrag(nodes, owner, version, idx, rec); ok {
+			shards[idx] = frag
+			valid++
+		}
+	}
+	var blob []byte
+	if _, ok := rec.crossHolder(); ok {
+		if g, found := findFrag(nodes, owner, version, rec.frags, rec); found {
+			blob = g
+		}
+	}
+	if valid < rec.need() && blob == nil {
+		return nil, nil
+	}
+	if valid == rec.frags && (blob != nil || !wantBlob) {
+		return shards, blob
+	}
+	// Rebuild the missing pieces so the new ring starts at full parity.
+	all := shards
+	if blob != nil {
+		all = append(append(make([][]byte, 0, rec.frags+1), shards...), blob)
+	}
+	if sections, err := reassembleSections(rec, all); err == nil {
+		if codec, err := rec.codecOf(); err == nil {
+			b := encodeReplSections(sections)
+			if full, err := codec.Encode(b); err == nil && len(full) == rec.frags {
+				return full, b
+			}
+		}
+	}
+	return shards, blob
+}
+
+// findFrag locates a digest-valid copy of one shard; a corrupt copy on one
+// node is skipped in favor of a valid copy elsewhere.
+func findFrag(nodes []*replNode, owner, version, idx int, rec replCommitRec) ([]byte, bool) {
+	for _, node := range nodes {
+		if frag, ok := node.frags[replFragKey{owner: owner, version: version, idx: idx}]; ok && rec.shardValid(idx, frag) {
+			return frag, true
+		}
+	}
+	return nil, false
+}
+
+// --- Shared commit-marker, placement and blob helpers ---
 
 // replCommitRec is the commit marker replicated alongside the fragments:
 // the shard geometry and digests recovery validates reassembly against.
@@ -151,10 +446,6 @@ func (rec replCommitRec) shardValid(idx int, frag []byte) bool {
 	return replSum(frag) == rec.sums[idx]
 }
 
-type replAckKey struct {
-	owner, version, from int
-}
-
 // Replication message kinds.
 const (
 	replMsgFrag uint8 = iota + 1
@@ -182,106 +473,15 @@ func init() {
 	})
 }
 
-// ReplicatedOption configures a ReplicatedStore.
-type ReplicatedOption func(*replicatedConfig)
-
-type replicatedConfig struct {
-	fragments int
-	codec     Codec
-	groupSize int
-	netOpts   []transport.Option
-}
-
-// WithFragments sets how many pieces each checkpoint blob is split into
-// before replication under the default dup codec (default 2). More
-// fragments spread replication load in finer grains; every fragment still
-// goes to both neighbors. Ignored when WithCodec installs an erasure codec.
-func WithFragments(k int) ReplicatedOption {
-	return func(c *replicatedConfig) { c.fragments = k }
-}
-
-// WithCodec replaces the default full-replication (dup) scheme with the
-// given fragment codec: the blob's k+m shards are placed on k+m distinct
-// ring successors (parity rotated per owner) instead of full copies on the
-// +1/+2 neighbors, and the owner keeps no full local copy — any k shards
-// reconstruct the line on demand.
-func WithCodec(codec Codec) ReplicatedOption {
-	return func(c *replicatedConfig) { c.codec = codec }
-}
-
-// WithGroupSize partitions the world into checkpoint groups of g
-// consecutive ring slots (member.Topology): shards stay on group-local
-// successors and every line additionally ships one cross-group parity
-// shard (the whole blob) to the next group, so even losing an entire
-// group at once leaves the line recoverable. g <= 1 keeps the flat world.
-func WithGroupSize(g int) ReplicatedOption {
-	return func(c *replicatedConfig) { c.groupSize = g }
-}
-
-// WithReplicationLatency applies a latency model to the replication
-// interconnect, so experiments can price remote-memory checkpointing
-// against local disk.
-func WithReplicationLatency(m transport.LatencyModel) ReplicatedOption {
-	return func(c *replicatedConfig) { c.netOpts = append(c.netOpts, transport.WithLatency(m)) }
-}
-
-// NewReplicatedStore creates a replicated in-memory store for a world of n
-// ranks. The store owns n replication daemons (one per node); call Close
-// when done with it.
-func NewReplicatedStore(n int, opts ...ReplicatedOption) *ReplicatedStore {
-	if n <= 0 {
-		panic("stable: replicated store needs a positive world size")
+// shardSums digests every shard for the commit marker, so recovery can
+// reject a corrupt shard and repair it from parity instead of failing the
+// whole-blob digest check.
+func shardSums(shards [][]byte) []uint64 {
+	sums := make([]uint64, len(shards))
+	for i, s := range shards {
+		sums[i] = replSum(s)
 	}
-	cfg := replicatedConfig{fragments: 2}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.fragments < 1 {
-		cfg.fragments = 1
-	}
-	if cfg.codec == nil {
-		cfg.codec = dupCodec{k: cfg.fragments}
-	}
-	if cfg.codec.ParityShards() > 0 && n < 2 {
-		panic("stable: erasure codecs need at least one peer rank")
-	}
-	s := &ReplicatedStore{
-		n:         n,
-		codec:     cfg.codec,
-		groupSize: cfg.groupSize,
-		net:       transport.NewNetwork(n, cfg.netOpts...),
-		members:   member.Launch(n),
-		nodes:     make([]*replNode, n),
-		awaiting:  make(map[replAckKey]bool),
-	}
-	s.cond = sync.NewCond(&s.mu)
-	for i := range s.nodes {
-		s.nodes[i] = newReplNode()
-	}
-	for i := 0; i < n; i++ {
-		s.wg.Add(1)
-		go s.daemon(i)
-	}
-	return s
-}
-
-func newReplNode() *replNode {
-	return &replNode{
-		local:   make(map[int]*memCkpt),
-		frags:   make(map[replFragKey][]byte),
-		commits: make(map[replCommitKey]replCommitRec),
-	}
-}
-
-// Close shuts the replication fabric and daemons down. Outstanding commits
-// unblock with their current acknowledgment state.
-func (s *ReplicatedStore) Close() {
-	s.mu.Lock()
-	s.closed = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	s.net.Shutdown()
-	s.wg.Wait()
+	return sums
 }
 
 // shardHolder is the fixed-world placement formula kept for reference and
@@ -311,261 +511,6 @@ func shardPlan(owner, shards, n int) (holderOf []int, holders []int) {
 		}
 	}
 	return holderOf, holders
-}
-
-// NetworkStats returns the replication interconnect's delivery counters.
-func (s *ReplicatedStore) NetworkStats() transport.Stats { return s.net.Stats() }
-
-// BytesWritten returns the section bytes written to node-local memory.
-func (s *ReplicatedStore) BytesWritten() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytesWritten
-}
-
-// ReplicatedBytes returns the fragment bytes shipped to peer nodes.
-func (s *ReplicatedStore) ReplicatedBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.replicatedBytes
-}
-
-// Reassemblies reports how many checkpoints were rebuilt from peer
-// fragments because the owner's local copy was gone — the disk-free
-// recovery path.
-func (s *ReplicatedStore) Reassemblies() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.reassemblies
-}
-
-// StoredBytes returns the checkpoint bytes currently resident across all
-// node memories: full local copies plus replica shards. Divided by the
-// world size it is the per-rank memory tax the codec ablation measures.
-func (s *ReplicatedStore) StoredBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var t int64
-	for _, node := range s.nodes {
-		for _, ck := range node.local {
-			for _, d := range ck.sections {
-				t += int64(len(d))
-			}
-		}
-		for _, f := range node.frags {
-			t += int64(len(f))
-		}
-	}
-	return t
-}
-
-// Members returns the membership current placement runs against.
-func (s *ReplicatedStore) Members() member.Set {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.members
-}
-
-// topology derives the current checkpoint-group topology; callers hold
-// s.mu.
-func (s *ReplicatedStore) topology() member.Topology {
-	return member.NewTopology(s.members, s.groupSize)
-}
-
-// Topology returns the checkpoint-group topology placement runs against.
-func (s *ReplicatedStore) Topology() member.Topology {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.topology()
-}
-
-// Migrations reports how many committed lines were re-placed by
-// SetMembership.
-func (s *ReplicatedStore) Migrations() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.migrations
-}
-
-// SetMembership installs a new member ring and actively re-partitions the
-// committed lines of every member owner onto it: each line's shards are
-// recomputed against the new ring (reconstructing lost ones through the
-// codec when at least k survive) and installed on the new holders, and
-// holdings on ranks the new plan no longer assigns are dropped. After it
-// returns, every line that was reconstructible before the change is again
-// reconstructible with the full ≤m loss tolerance under the new ring —
-// the in-memory analogue of ReStore's re-distribution. Lines owned by
-// ranks outside the new membership are left where they are: a drained
-// owner's lines are retired with it, not rebalanced.
-func (s *ReplicatedStore) SetMembership(m member.Set) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if m.SameMembers(s.members) {
-		s.members = m
-		return
-	}
-	s.members = m
-	// Collect every committed line (marker may survive on several holders;
-	// they are identical for one (owner, version)).
-	lines := make(map[replCommitKey]replCommitRec)
-	for _, node := range s.nodes {
-		for key, rec := range node.commits {
-			lines[key] = rec
-		}
-	}
-	topo := s.topology()
-	for key, rec := range lines {
-		if !m.Contains(key.owner) {
-			continue
-		}
-		codec, err := rec.codecOf()
-		if err != nil {
-			continue
-		}
-		sendPlan, holders, _, parity := commitPlan(codec, key.owner, rec.frags, topo)
-		shards, blob := s.gatherShards(key.owner, key.version, rec, parity >= 0)
-		if shards == nil {
-			continue // already below k survivors; nothing to re-place
-		}
-		oldFrags := rec.frags
-		rec.cross = parity + 1
-		held := make(map[int]bool, len(holders))
-		for _, h := range holders {
-			held[h] = true
-		}
-		for _, nb := range holders {
-			s.nodes[nb].commits[key] = rec
-			for _, idx := range sendPlan[nb] {
-				frag := blob // the cross-group parity shard is the blob itself
-				if idx < rec.frags {
-					frag = shards[idx]
-				}
-				if frag == nil {
-					continue // incomplete dup line: move what survives
-				}
-				s.nodes[nb].frags[replFragKey{owner: key.owner, version: key.version, idx: idx}] =
-					append([]byte(nil), frag...)
-			}
-		}
-		for r, node := range s.nodes {
-			if held[r] {
-				continue
-			}
-			delete(node.commits, key)
-			for idx := 0; idx <= oldFrags; idx++ {
-				delete(node.frags, replFragKey{owner: key.owner, version: key.version, idx: idx})
-			}
-		}
-		s.migrations++
-	}
-}
-
-// gatherShards assembles the full digest-valid shard set of one line,
-// reconstructing missing shards through the codec — or from a surviving
-// cross-group parity shard — when possible. It also returns the whole
-// blob when a surviving parity shard supplies it or wantBlob forces a
-// rebuild (the new plan needs a parity shard to install). Returns
-// (nil, nil) when the line is unreconstructible; a reconstruction failure
-// falls back to the surviving shards (nil gaps), which still carry
-// everything the old ring held.
-func (s *ReplicatedStore) gatherShards(owner, version int, rec replCommitRec, wantBlob bool) ([][]byte, []byte) {
-	shards := make([][]byte, rec.frags)
-	valid := 0
-	for idx := range shards {
-		if frag, ok := s.findFrag(owner, version, idx, rec); ok {
-			shards[idx] = frag
-			valid++
-		}
-	}
-	var blob []byte
-	if _, ok := rec.crossHolder(); ok {
-		if g, found := s.findFrag(owner, version, rec.frags, rec); found {
-			blob = g
-		}
-	}
-	if valid < rec.need() && blob == nil {
-		return nil, nil
-	}
-	if valid == rec.frags && (blob != nil || !wantBlob) {
-		return shards, blob
-	}
-	// Rebuild the missing pieces so the new ring starts at full parity.
-	all := shards
-	if blob != nil {
-		all = append(append(make([][]byte, 0, rec.frags+1), shards...), blob)
-	}
-	if sections, err := reassembleSections(rec, all); err == nil {
-		if codec, err := rec.codecOf(); err == nil {
-			b := encodeReplSections(sections)
-			if full, err := codec.Encode(b); err == nil && len(full) == rec.frags {
-				return full, b
-			}
-		}
-	}
-	return shards, blob
-}
-
-// FailNode implements NodeFailer: the node's memory is lost and in-flight
-// replication traffic toward it belongs to a dead incarnation.
-func (s *ReplicatedStore) FailNode(rank int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.nodes[rank].incarnation++
-	s.nodes[rank].local = make(map[int]*memCkpt)
-	s.nodes[rank].frags = make(map[replFragKey][]byte)
-	s.nodes[rank].commits = make(map[replCommitKey]replCommitRec)
-	s.cond.Broadcast() // release commits waiting on this node's acks
-}
-
-// --- Write path ---
-
-type replHandle struct {
-	store    *ReplicatedStore
-	rank     int
-	version  int
-	sections map[string][]byte
-	done     bool
-	stored   int64
-}
-
-// StoredSize reports the stable-storage bytes this commit occupies across
-// the world (local copy plus replica shards) — the numerator of the
-// storage-overhead ratio the ckpt stats expose as StoredBytes.
-func (h *replHandle) StoredSize() int64 { return h.stored }
-
-// Begin implements Store.
-func (s *ReplicatedStore) Begin(rank, version int) (Checkpoint, error) {
-	s.mu.Lock()
-	delete(s.nodes[rank].local, version) // discard uncommitted stale data
-	s.mu.Unlock()
-	return &replHandle{store: s, rank: rank, version: version, sections: make(map[string][]byte)}, nil
-}
-
-func (h *replHandle) WriteSection(name string, data []byte) error {
-	if h.done {
-		return fmt.Errorf("stable: write to finished checkpoint (%d,%d)", h.rank, h.version)
-	}
-	h.sections[name] = append([]byte(nil), data...)
-	h.store.mu.Lock()
-	h.store.bytesWritten += int64(len(data))
-	h.store.mu.Unlock()
-	return nil
-}
-
-func (h *replHandle) Abort() error {
-	h.done = true
-	return nil
-}
-
-// shardSums digests every shard for the commit marker, so recovery can
-// reject a corrupt shard and repair it from parity instead of failing the
-// whole-blob digest check.
-func shardSums(shards [][]byte) []uint64 {
-	sums := make([]uint64, len(shards))
-	for i, s := range shards {
-		sums[i] = replSum(s)
-	}
-	return sums
 }
 
 // commitPlan is the shared placement decision of both diskless stores,
@@ -628,299 +573,6 @@ func sectionsBytes(sections map[string][]byte) int64 {
 	return t
 }
 
-// Commit encodes the checkpoint through the store's codec, ships the
-// shards and commit marker to their holders, and waits until every live
-// holder has acknowledged them. Under the dup codec the holders are the
-// +1/+2 neighbors (full copies, local copy kept); under an erasure codec
-// each shard lands on its own ring successor and no local copy is kept.
-func (h *replHandle) Commit() error {
-	if h.done {
-		return fmt.Errorf("stable: commit of finished checkpoint (%d,%d)", h.rank, h.version)
-	}
-	h.done = true
-	s := h.store
-
-	blob := encodeReplSections(h.sections)
-	shards, err := s.codec.Encode(blob)
-	if err != nil {
-		return fmt.Errorf("stable: encode checkpoint (%d,%d): %w", h.rank, h.version, err)
-	}
-	s.mu.Lock()
-	sendPlan, holders, keepLocal, parity := commitPlan(s.codec, h.rank, len(shards), s.topology())
-	// units extends the codec shards with the cross-group parity shard
-	// (the whole blob, at index len(shards)) when the topology assigns one.
-	units := shards
-	if parity >= 0 {
-		units = append(append(make([][]byte, 0, len(shards)+1), shards...), blob)
-	}
-	rec := replCommitRec{
-		codec: s.codec.ID(),
-		frags: len(shards),
-		data:  s.codec.DataShards(),
-		total: len(blob),
-		sum:   replSum(blob),
-		sums:  shardSums(shards),
-		cross: parity + 1,
-	}
-	type target struct {
-		rank int
-		inc  uint64
-	}
-	targets := make([]target, 0, len(holders))
-	for _, nb := range holders {
-		targets = append(targets, target{rank: nb, inc: s.nodes[nb].incarnation})
-		s.awaiting[replAckKey{owner: h.rank, version: h.version, from: nb}] = false
-		for _, idx := range sendPlan[nb] {
-			s.replicatedBytes += int64(len(units[idx]))
-			h.stored += int64(len(units[idx]))
-		}
-	}
-	s.mu.Unlock()
-	if keepLocal {
-		h.stored += sectionsBytes(h.sections)
-	}
-
-	dropAwaiting := func() {
-		for _, t := range targets {
-			delete(s.awaiting, replAckKey{owner: h.rank, version: h.version, from: t.rank})
-		}
-	}
-	for _, t := range targets {
-		for _, idx := range sendPlan[t.rank] {
-			msg := encodeReplFrag(h.rank, h.version, t.inc, rec.codec, len(shards), idx, units[idx])
-			if err := s.net.Send(transport.Message{From: h.rank, To: t.rank, Class: transport.Data, Payload: msg}); err != nil {
-				s.mu.Lock()
-				dropAwaiting()
-				s.mu.Unlock()
-				return fmt.Errorf("stable: replicate fragment: %w", err)
-			}
-		}
-		// The marker travels after the fragments on the same FIFO pair, so a
-		// stored marker implies the fragments preceding it were delivered.
-		msg := encodeReplCommit(h.rank, h.version, t.inc, rec)
-		if err := s.net.Send(transport.Message{From: h.rank, To: t.rank, Class: transport.Control, Payload: msg}); err != nil {
-			s.mu.Lock()
-			dropAwaiting()
-			s.mu.Unlock()
-			return fmt.Errorf("stable: replicate commit marker: %w", err)
-		}
-	}
-
-	// Wait for each holder's acknowledgment; a holder that fails (its
-	// incarnation advances) is excused — under dup the commit then relies
-	// on the local copy plus the surviving replica. Only then does the
-	// version become locally committed, so a failed Commit never leaves a
-	// version visible to LastCommitted.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		pending := 0
-		for _, t := range targets {
-			key := replAckKey{owner: h.rank, version: h.version, from: t.rank}
-			if !s.awaiting[key] && s.nodes[t.rank].incarnation == t.inc && !s.closed {
-				pending++
-			}
-		}
-		if pending == 0 {
-			break
-		}
-		s.cond.Wait()
-	}
-	dropAwaiting()
-	if keepLocal {
-		s.nodes[h.rank].local[h.version] = &memCkpt{sections: h.sections, commit: true}
-		return nil
-	}
-	// Erasure-coded commits keep no local copy, so excusal has a floor: a
-	// holder whose node failed (even after acking) lost its shards, and if
-	// the survivors cannot supply k shards the line does not exist —
-	// reporting success would let the protocol retire the previous,
-	// recoverable line. A surviving cross-group parity shard lifts the
-	// floor: it reconstructs the blob alone, so even a whole group of
-	// failed holders is excused. (Store shutdown is exempt: the world is
-	// going away.)
-	if !s.closed {
-		lost := 0
-		parityOK := false
-		for _, t := range targets {
-			failed := s.nodes[t.rank].incarnation != t.inc
-			for _, idx := range sendPlan[t.rank] {
-				switch {
-				case idx >= len(shards):
-					parityOK = !failed
-				case failed:
-					lost++
-				}
-			}
-		}
-		if len(shards)-lost < s.codec.DataShards() && !parityOK {
-			return fmt.Errorf("stable: commit (%d,%d) lost %d of %d shards to failed holders (codec needs %d)",
-				h.rank, h.version, lost, len(shards), s.codec.DataShards())
-		}
-	}
-	return nil
-}
-
-// --- Replication daemon ---
-
-// daemon is node rank's replication endpoint: it stores incoming fragments
-// and commit markers in the node's memory and acknowledges them, and
-// routes acknowledgments back to waiting commits.
-func (s *ReplicatedStore) daemon(rank int) {
-	defer s.wg.Done()
-	ep := s.net.Endpoint(rank)
-	for {
-		msg, err := ep.Recv()
-		if err != nil {
-			return // network shut down
-		}
-		data, ok := msg.Payload.(replPayload)
-		if !ok || len(data) == 0 {
-			continue
-		}
-		switch data[0] {
-		case replMsgFrag:
-			owner, version, inc, _, _, idx, frag, err := decodeReplFrag(data)
-			if err != nil {
-				continue
-			}
-			s.mu.Lock()
-			if s.nodes[rank].incarnation == inc {
-				s.nodes[rank].frags[replFragKey{owner: owner, version: version, idx: idx}] = frag
-			}
-			s.mu.Unlock()
-		case replMsgCommit:
-			owner, version, inc, rec, err := decodeReplCommit(data)
-			if err != nil {
-				continue
-			}
-			s.mu.Lock()
-			live := s.nodes[rank].incarnation == inc
-			if live {
-				s.nodes[rank].commits[replCommitKey{owner: owner, version: version}] = rec
-			}
-			s.mu.Unlock()
-			if live {
-				ack := encodeReplAck(owner, version, rank)
-				_ = s.net.Send(transport.Message{From: rank, To: owner, Class: transport.Control, Payload: ack})
-			}
-		case replMsgAck:
-			owner, version, from, err := decodeReplAck(data)
-			if err != nil {
-				continue
-			}
-			s.mu.Lock()
-			key := replAckKey{owner: owner, version: version, from: from}
-			if _, waiting := s.awaiting[key]; waiting {
-				s.awaiting[key] = true
-				s.cond.Broadcast()
-			}
-			s.mu.Unlock()
-		}
-	}
-}
-
-// --- Read path ---
-
-// LastCommitted implements Store: the newest version committed locally or,
-// when the local memory was lost, the newest version whose fragments and
-// commit marker survive on peers.
-func (s *ReplicatedStore) LastCommitted(rank int) (int, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	best, ok := 0, false
-	for v, ck := range s.nodes[rank].local {
-		if ck.commit && (!ok || v > best) {
-			best, ok = v, true
-		}
-	}
-	for v, rec := range s.peerCommitted(rank) {
-		if (!ok || v > best) && s.lineRecoverable(rank, v, rec) {
-			best, ok = v, true
-		}
-	}
-	return best, ok, nil
-}
-
-// lineRecoverable reports whether (owner, version) can be reassembled:
-// enough distinct codec shards survive, or the cross-group parity shard
-// does.
-func (s *ReplicatedStore) lineRecoverable(owner, version int, rec replCommitRec) bool {
-	if s.shardsAvailable(owner, version, rec) >= rec.need() {
-		return true
-	}
-	if _, ok := rec.crossHolder(); ok {
-		if _, found := s.findFrag(owner, version, rec.frags, rec); found {
-			return true
-		}
-	}
-	return false
-}
-
-// peerCommitted collects commit markers held on any node for the owner.
-func (s *ReplicatedStore) peerCommitted(owner int) map[int]replCommitRec {
-	out := make(map[int]replCommitRec)
-	for _, node := range s.nodes {
-		for key, rec := range node.commits {
-			if key.owner == owner {
-				out[key.version] = rec
-			}
-		}
-	}
-	return out
-}
-
-// shardsAvailable counts the distinct shard indexes of (owner, version)
-// for which some node holds a digest-valid fragment, stopping as soon as
-// reconstruction is possible.
-func (s *ReplicatedStore) shardsAvailable(owner, version int, rec replCommitRec) int {
-	n := 0
-	for idx := 0; idx < rec.frags && n < rec.need(); idx++ {
-		if _, ok := s.findFrag(owner, version, idx, rec); ok {
-			n++
-		}
-	}
-	return n
-}
-
-// Open implements Store. When the owner's local copy is gone (always, for
-// the erasure codecs), the checkpoint is reassembled from peer shards —
-// tolerating up to m missing or digest-mismatched ones — validated against
-// the commit marker, and re-installed in the owner's memory (the restarted
-// node re-hosting its line, as ReStore's re-distribution does).
-func (s *ReplicatedStore) Open(rank, version int) (Snapshot, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ck, ok := s.nodes[rank].local[version]; ok {
-		if !ck.commit {
-			return nil, fmt.Errorf("%w: rank %d version %d", ErrNotCommitted, rank, version)
-		}
-		return &memSnap{ck: ck}, nil
-	}
-	rec, ok := s.peerCommitted(rank)[version]
-	if !ok {
-		return nil, fmt.Errorf("%w: rank %d version %d (no local copy, no peer commit marker)", ErrNotFound, rank, version)
-	}
-	units := rec.frags
-	if _, hasCross := rec.crossHolder(); hasCross {
-		units++ // the cross-group parity shard at index rec.frags
-	}
-	shards := make([][]byte, units)
-	for idx := range shards {
-		if frag, ok := s.findFrag(rank, version, idx, rec); ok {
-			shards[idx] = frag
-		}
-	}
-	sections, err := reassembleSections(rec, shards)
-	if err != nil {
-		return nil, fmt.Errorf("%w: rank %d version %d: %v", ErrNotFound, rank, version, err)
-	}
-	ck := &memCkpt{sections: sections, commit: true}
-	s.nodes[rank].local[version] = ck
-	s.reassemblies++
-	return &memSnap{ck: ck}, nil
-}
-
 // reassembleSections decodes a shard set against its commit marker: codec
 // reconstruction, whole-blob digest validation, section decode. The slice
 // may carry the cross-group parity shard at index rec.frags; a valid one
@@ -947,68 +599,6 @@ func reassembleSections(rec replCommitRec, shards [][]byte) (map[string][]byte, 
 		return nil, fmt.Errorf("stable: reassembly digest mismatch (%d/%d bytes)", len(blob), rec.total)
 	}
 	return decodeReplSections(blob)
-}
-
-// findFrag locates a digest-valid copy of one shard; a corrupt copy on one
-// node is skipped in favor of a valid copy elsewhere.
-func (s *ReplicatedStore) findFrag(owner, version, idx int, rec replCommitRec) ([]byte, bool) {
-	for _, node := range s.nodes {
-		if frag, ok := node.frags[replFragKey{owner: owner, version: version, idx: idx}]; ok && rec.shardValid(idx, frag) {
-			return frag, true
-		}
-	}
-	return nil, false
-}
-
-// Retire implements Store: it prunes the rank's old local versions and the
-// fragments and markers peers hold for them.
-func (s *ReplicatedStore) Retire(rank, version int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for v := range s.nodes[rank].local {
-		if v < version {
-			delete(s.nodes[rank].local, v)
-		}
-	}
-	for _, node := range s.nodes {
-		for key := range node.frags {
-			if key.owner == rank && key.version < version {
-				delete(node.frags, key)
-			}
-		}
-		for key := range node.commits {
-			if key.owner == rank && key.version < version {
-				delete(node.commits, key)
-			}
-		}
-	}
-	return nil
-}
-
-// Truncate implements Store: it drops the rank's versions above the
-// recovery line everywhere — local memory, peer fragments, and peer commit
-// markers — so a dead generation's lines cannot resurface.
-func (s *ReplicatedStore) Truncate(rank, version int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for v := range s.nodes[rank].local {
-		if v > version {
-			delete(s.nodes[rank].local, v)
-		}
-	}
-	for _, node := range s.nodes {
-		for key := range node.frags {
-			if key.owner == rank && key.version > version {
-				delete(node.frags, key)
-			}
-		}
-		for key := range node.commits {
-			if key.owner == rank && key.version > version {
-				delete(node.commits, key)
-			}
-		}
-	}
-	return nil
 }
 
 // --- Blob and message codecs ---
@@ -1082,12 +672,11 @@ func replSum(b []byte) uint64 {
 // The fragment header names the codec and shard geometry so a holder can
 // attribute a shard without its marker; the marker remains the
 // authoritative record reassembly validates against.
-func encodeReplFrag(owner, version int, inc uint64, codecID uint8, shards, idx int, frag []byte) replPayload {
-	w := wire.NewWriter(40 + len(frag))
+func encodeReplFrag(owner, version int, codecID uint8, shards, idx int, frag []byte) replPayload {
+	w := wire.NewWriter(32 + len(frag))
 	w.U8(replMsgFrag)
 	w.Int(owner)
 	w.Int(version)
-	w.U64(inc)
 	w.U8(codecID)
 	w.Int(shards)
 	w.Int(idx)
@@ -1095,15 +684,14 @@ func encodeReplFrag(owner, version int, inc uint64, codecID uint8, shards, idx i
 	return replPayload(w.Bytes())
 }
 
-func decodeReplFrag(data replPayload) (owner, version int, inc uint64, codecID uint8, shards, idx int, frag []byte, err error) {
+func decodeReplFrag(data replPayload) (owner, version int, codecID uint8, shards, idx int, frag []byte, err error) {
 	r := wire.NewReader(data[1:])
 	owner, version = r.Int(), r.Int()
-	inc = r.U64()
 	codecID = r.U8()
 	shards = r.Int()
 	idx = r.Int()
 	frag = append([]byte(nil), r.Bytes32()...)
-	return owner, version, inc, codecID, shards, idx, frag, r.Err()
+	return owner, version, codecID, shards, idx, frag, r.Err()
 }
 
 // writeReplRec and readReplRec (de)serialize a commit marker's record; the
@@ -1134,28 +722,26 @@ func readReplRec(r *wire.Reader) replCommitRec {
 // count clamping in repeated decoders.
 const replRecWireMin = 1 + 8 + 8 + 8 + 8 + 4 + 8
 
-func encodeReplCommit(owner, version int, inc uint64, rec replCommitRec) replPayload {
-	w := wire.NewWriter(64 + 8*len(rec.sums))
+func encodeReplCommit(owner, version int, rec replCommitRec) replPayload {
+	w := wire.NewWriter(56 + 8*len(rec.sums))
 	w.U8(replMsgCommit)
 	w.Int(owner)
 	w.Int(version)
-	w.U64(inc)
 	writeReplRec(w, rec)
 	return replPayload(w.Bytes())
 }
 
-func decodeReplCommit(data replPayload) (owner, version int, inc uint64, rec replCommitRec, err error) {
+func decodeReplCommit(data replPayload) (owner, version int, rec replCommitRec, err error) {
 	r := wire.NewReader(data[1:])
 	owner, version = r.Int(), r.Int()
-	inc = r.U64()
 	rec = readReplRec(r)
 	if err := r.Err(); err != nil {
-		return owner, version, inc, rec, err
+		return owner, version, rec, err
 	}
 	if !rec.sane() {
-		return owner, version, inc, rec, fmt.Errorf("stable: insane commit marker geometry (frags=%d data=%d total=%d)", rec.frags, rec.data, rec.total)
+		return owner, version, rec, fmt.Errorf("stable: insane commit marker geometry (frags=%d data=%d total=%d)", rec.frags, rec.data, rec.total)
 	}
-	return owner, version, inc, rec, nil
+	return owner, version, rec, nil
 }
 
 func encodeReplAck(owner, version, from int) replPayload {

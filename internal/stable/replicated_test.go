@@ -312,15 +312,15 @@ func TestReplicatedCodecCorruptShardRepaired(t *testing.T) {
 	writeCommitted(t, s, 0, 1, map[string][]byte{"app": payload})
 
 	// Flip a byte in every replica of shard 0, wherever it landed.
-	s.mu.Lock()
+	nodes, unlock := s.lockNodes()
 	corrupted := 0
-	for _, node := range s.nodes {
+	for _, node := range nodes {
 		if frag, ok := node.frags[replFragKey{owner: 0, version: 1, idx: 0}]; ok && len(frag) > 0 {
 			frag[0] ^= 0xff
 			corrupted++
 		}
 	}
-	s.mu.Unlock()
+	unlock()
 	if corrupted == 0 {
 		t.Fatal("no stored copy of shard 0 found")
 	}
@@ -427,5 +427,165 @@ func TestFragmentRetentionReleasesBlob(t *testing.T) {
 	// version 1's memory is still pinned.
 	if growth > blobSize/2 {
 		t.Fatalf("heap grew %d bytes after retiring the big line (blob %d) — fragments pin the blob", growth, blobSize)
+	}
+}
+
+// waitSent polls until the replication network has accepted at least n
+// messages.
+func waitSent(t *testing.T, s *ReplicatedStore, n uint64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.NetworkStats().MessagesSent < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d replication messages sent", s.NetworkStats().MessagesSent, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// commitAsync commits one section for (rank, version) on its own
+// goroutine and delivers Commit's result.
+func commitAsync(t *testing.T, s *ReplicatedStore, rank, version int, data []byte) <-chan error {
+	t.Helper()
+	ck, err := s.Begin(rank, version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.WriteSection("app", data); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- ck.Commit() }()
+	return done
+}
+
+// TestReplicatedFailNodeDropsDeadIncarnationTraffic: fragments and a
+// commit marker still in flight to rank 1 when FailNode(1) runs belong to
+// the dead incarnation — rank 1's replacement must neither store nor
+// acknowledge them.
+func TestReplicatedFailNodeDropsDeadIncarnationTraffic(t *testing.T) {
+	const latency = 100 * time.Millisecond
+	s := NewReplicatedStore(3, WithReplicationLatency(transport.ConstantLatency(latency, 0)))
+	defer s.Close()
+	done := commitAsync(t, s, 0, 1, []byte("in flight"))
+	// Rank 0's two dup fragments plus marker to each of ranks 1 and 2.
+	waitSent(t, s, 6)
+	s.FailNode(1)
+	if err := <-done; err != nil {
+		t.Fatalf("dup commit with one failed holder: %v", err)
+	}
+	time.Sleep(2 * latency) // let every delayed delivery come due
+
+	nodes, unlock := s.lockNodes()
+	held := len(nodes[1].frags) + len(nodes[1].commits)
+	unlock()
+	if held != 0 {
+		t.Fatalf("rank 1's replacement stored %d dead-incarnation fragments/markers", held)
+	}
+	// Six replication frames plus rank 2's acknowledgment; an ack from the
+	// replacement would be an eighth.
+	if sent := s.NetworkStats().MessagesSent; sent != 7 {
+		t.Fatalf("replication network carried %d messages, want 7", sent)
+	}
+}
+
+// TestReplicatedFailNodeReleasesBlockedCommit: a commit waiting on a
+// holder's acknowledgment is released the moment FailNode declares that
+// holder lost, not at the ack timeout.
+func TestReplicatedFailNodeReleasesBlockedCommit(t *testing.T) {
+	slowToOne := func(from, to, bytes int) time.Duration {
+		if to == 1 {
+			return 2 * time.Second
+		}
+		return 0
+	}
+	s := NewReplicatedStore(3, WithReplicationLatency(slowToOne))
+	defer s.Close()
+	done := commitAsync(t, s, 0, 1, []byte("blocked on rank 1"))
+	waitSent(t, s, 6)
+	select {
+	case err := <-done:
+		t.Fatalf("commit returned (%v) before rank 1 acknowledged", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	start := time.Now()
+	s.FailNode(1)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("dup commit after excusal: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("FailNode did not release the commit waiting on the failed holder")
+	}
+	if d := time.Since(start); d > 500*time.Millisecond {
+		t.Fatalf("commit released %v after FailNode", d)
+	}
+}
+
+// TestReplicatedFailNodeErasureFloor: holders that fail mid-commit count
+// as lost even when they acknowledged first, so an rs commit left with
+// fewer than k surviving shards (and no cross-group parity shard) fails
+// and stays invisible, while losing exactly the parity budget succeeds.
+func TestReplicatedFailNodeErasureFloor(t *testing.T) {
+	// Ranks 3 and 4 receive late, so the commit is still waiting on them
+	// when ranks 1 and 2 — whose acknowledgments already arrived — fail.
+	slowTo34 := func(from, to, bytes int) time.Duration {
+		if to >= 3 {
+			return 300 * time.Millisecond
+		}
+		return 0
+	}
+	for _, tc := range []struct {
+		failed  []int
+		succeed bool
+	}{
+		{failed: []int{1, 2}, succeed: true},
+		{failed: []int{1, 2, 3}, succeed: false},
+	} {
+		s := NewReplicatedStore(5, WithCodec(mustCodec(t, "rs", 2, 2)), WithReplicationLatency(slowTo34))
+		// Four shards, one each on ranks 1..4; wait for the two prompt acks.
+		done := commitAsync(t, s, 0, 1, []byte("needs two of four shards"))
+		waitSent(t, s, 10)
+		for _, r := range tc.failed {
+			s.FailNode(r)
+		}
+		err := <-done
+		_, ok, _ := s.LastCommitted(0)
+		s.Close()
+		if tc.succeed && (err != nil || !ok) {
+			t.Fatalf("failed holders %v: commit err=%v visible=%v; want success", tc.failed, err, ok)
+		}
+		if !tc.succeed && (err == nil || ok) {
+			t.Fatalf("failed holders %v: commit err=%v visible=%v; want an error and no visible line", tc.failed, err, ok)
+		}
+	}
+}
+
+// TestReplicatedPruneIsSynchronous: Retire and Truncate return only after
+// every peer applied the prune, so StoredBytes read right after them is
+// exact.
+func TestReplicatedPruneIsSynchronous(t *testing.T) {
+	s := NewReplicatedStore(4)
+	defer s.Close()
+	payload := make([]byte, 64<<10)
+	for v := 1; v <= 3; v++ {
+		writeCommitted(t, s, 0, v, map[string][]byte{"app": payload})
+	}
+	line := s.StoredBytes() / 3
+	if line <= 0 || s.StoredBytes() != 3*line {
+		t.Fatalf("three equal lines stored %d bytes", s.StoredBytes())
+	}
+	if err := s.Truncate(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.StoredBytes(); got != 2*line {
+		t.Fatalf("StoredBytes right after Truncate = %d, want %d", got, 2*line)
+	}
+	if err := s.Retire(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.StoredBytes(); got != line {
+		t.Fatalf("StoredBytes right after Retire = %d, want %d", got, line)
 	}
 }

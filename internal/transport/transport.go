@@ -160,7 +160,8 @@ type Interconnect interface {
 // Network is the interconnect among n endpoints.
 type Network struct {
 	n       int
-	eps     []*Endpoint
+	eps     []atomic.Pointer[Endpoint] // swapped by Restart
+	epMu    sync.Mutex                 // orders Restart against Shutdown
 	latency LatencyModel
 	sched   *Scheduler // non-nil: virtual deterministic scheduling
 
@@ -206,9 +207,9 @@ func NewNetwork(n int, opts ...Option) *Network {
 	for _, o := range opts {
 		o(nw)
 	}
-	nw.eps = make([]*Endpoint, n)
+	nw.eps = make([]atomic.Pointer[Endpoint], n)
 	for i := range nw.eps {
-		nw.eps[i] = newEndpoint(nw, i)
+		nw.eps[i].Store(newEndpoint(nw, i))
 	}
 	if nw.sched != nil && len(nw.partPlan) > 0 {
 		nw.sched.ArmPartitions(nw.partPlan, nw.applyPartitionEvent)
@@ -256,7 +257,7 @@ func (nw *Network) applyPartitionEvent(ev SchedPartitionEvent) {
 	nw.partHeld = nil
 	nw.partMu.Unlock()
 	for _, m := range held {
-		if !nw.eps[m.To].push(m) {
+		if !nw.eps[m.To].Load().push(m) {
 			nw.noteDropped()
 		}
 	}
@@ -285,7 +286,7 @@ func (nw *Network) Size() int { return nw.n }
 func (nw *Network) Scheduler() *Scheduler { return nw.sched }
 
 // Endpoint returns the endpoint for the given rank.
-func (nw *Network) Endpoint(rank int) Port { return nw.eps[rank] }
+func (nw *Network) Endpoint(rank int) Port { return nw.eps[rank].Load() }
 
 var _ Interconnect = (*Network)(nil)
 
@@ -305,7 +306,7 @@ func (nw *Network) Send(msg Message) error {
 	if msg.To < 0 || msg.To >= nw.n {
 		return fmt.Errorf("transport: destination %d out of range [0,%d)", msg.To, nw.n)
 	}
-	dst := nw.eps[msg.To]
+	dst := nw.eps[msg.To].Load()
 
 	size := 0
 	if s, ok := msg.Payload.(Sizer); ok {
@@ -366,15 +367,32 @@ func (nw *Network) noteDropped() {
 
 // Kill marks the endpoint as failed: pending and future receives return
 // ErrDown and messages addressed to it are dropped. Kill models a fail-stop
-// node crash and is irreversible for this network instance.
-func (nw *Network) Kill(rank int) { nw.eps[rank].kill() }
+// node crash; only Restart brings the rank back.
+func (nw *Network) Kill(rank int) { nw.eps[rank].Load().kill() }
+
+// Restart models a crashed node rebooting: the rank's endpoint is killed,
+// dropping every message queued or still in flight to it (that traffic
+// belongs to the dead incarnation), and a fresh endpoint receives every
+// later send. The replacement's receiver must fetch it with Endpoint.
+// After Shutdown the fresh endpoint starts out dead.
+func (nw *Network) Restart(rank int) {
+	nw.epMu.Lock()
+	defer nw.epMu.Unlock()
+	fresh := newEndpoint(nw, rank)
+	if nw.down.Load() {
+		fresh.killed = true
+	}
+	nw.eps[rank].Swap(fresh).kill()
+}
 
 // Shutdown kills every endpoint and refuses further sends. It is used to
 // tear down the world after a failure so that all ranks unblock.
 func (nw *Network) Shutdown() {
+	nw.epMu.Lock()
+	defer nw.epMu.Unlock()
 	nw.down.Store(true)
-	for _, ep := range nw.eps {
-		ep.kill()
+	for i := range nw.eps {
+		nw.eps[i].Load().kill()
 	}
 }
 
@@ -475,11 +493,20 @@ func (ep *Endpoint) Recv() (Message, error) {
 		}
 		ep.cond.Wait()
 	}
-	msg := ep.queue[0]
-	ep.queue = ep.queue[1:]
+	msg := ep.pop()
 	ep.mu.Unlock()
 	traceRecv(ep.rank, msg)
 	return msg, nil
+}
+
+// pop dequeues the head message; callers hold ep.mu. The vacated slot is
+// cleared so the queue's backing array does not keep a delivered payload
+// reachable.
+func (ep *Endpoint) pop() Message {
+	msg := ep.queue[0]
+	ep.queue[0] = Message{}
+	ep.queue = ep.queue[1:]
+	return msg
 }
 
 // recvVirtual is Recv under the virtual schedule engine: an empty queue
@@ -490,8 +517,7 @@ func (ep *Endpoint) recvVirtual(s *Scheduler) (Message, error) {
 	for {
 		ep.mu.Lock()
 		if len(ep.queue) > 0 {
-			msg := ep.queue[0]
-			ep.queue = ep.queue[1:]
+			msg := ep.pop()
 			ep.mu.Unlock()
 			traceRecv(ep.rank, msg)
 			return msg, nil
@@ -522,8 +548,7 @@ func (ep *Endpoint) TryRecv() (msg Message, ok bool, err error) {
 		ep.mu.Unlock()
 		return Message{}, false, nil
 	}
-	msg = ep.queue[0]
-	ep.queue = ep.queue[1:]
+	msg = ep.pop()
 	ep.mu.Unlock()
 	traceRecv(ep.rank, msg)
 	return msg, true, nil
