@@ -168,7 +168,6 @@ func TestMultiProcessElasticResize(t *testing.T) {
 		Capacity: capacity,
 		Exe:      os.Args[0],
 		Env:      []string{procWorkerEnv + "=1", "GOTRACEBACK=all"},
-		SelfHeal: true,
 		// The operator kill waits for both storage joins: it must land in
 		// the resized 6-member world, not the launch world.
 		ExternalKill: &cluster.ExternalKillSpec{Rank: 1, AfterCheckpoints: 2, AfterJoins: 2},
@@ -180,7 +179,6 @@ func TestMultiProcessElasticResize(t *testing.T) {
 				"-capacity", strconv.Itoa(capacity),
 				"-peers", strings.Join(mpiAddrs, ","),
 				"-repl-peers", strings.Join(replAddrs, ","),
-				"-self-heal",
 				"-every", "4",
 				"-app", "elastic",
 				"-iters", strconv.Itoa(elasticIters),

@@ -1,27 +1,24 @@
 package cluster
 
 // The multi-process launcher: spawns one worker process per rank (the
-// workers call RunNode) and coordinates over the workers' stdin and stdout
-// pipes. Two coordination modes exist:
+// workers call RunNode) and talks to them over their stdin and stdout
+// pipes. It is a dumb respawner exposing exactly one recovery primitive —
+// spawn(rank). It broadcasts the initial run, then only reacts: a
+// "respawn r" request from the survivors' elected coordinator re-executes
+// rank r (the new process is told to "join" and adopts the agreed epoch
+// from its peers); everything else — detection, agreement, commit
+// interruption, restore-line negotiation, attempt sequencing — happens
+// among the workers themselves (internal/detect).
 //
-//   - Legacy (default): the launcher is an omniscient oracle. It injects
-//     failures as real SIGKILLs via the victim protocol, aborts the
-//     survivors' attempt when a worker dies, re-executes the dead rank,
-//     and starts the next attempt in restore mode.
-//
-//   - Self-healing (LaunchConfig.SelfHeal): the launcher is a dumb
-//     respawner exposing exactly one recovery primitive — spawn(rank). It
-//     broadcasts the initial run, then only reacts: a "respawn r" request
-//     from the survivors' elected coordinator re-executes rank r (the new
-//     process is told to "join" and adopts the agreed epoch from its
-//     peers); everything else — detection, agreement, commit interruption,
-//     restore-line negotiation, attempt sequencing — happens among the
-//     workers themselves (internal/detect). The launcher can still play
-//     the role of an outside operator: ExternalKill delivers an
-//     uncoordinated SIGKILL mid-run, the headline self-healing scenario.
+// The launcher also plays the outside operator that injects faults: a
+// worker whose failure spec fires freezes and reports "victim", and the
+// launcher SIGKILLs it (and its correlated fault domain) at that instant;
+// ExternalKill delivers an uncoordinated SIGKILL with no spec inside any
+// worker; ExternalPartition severs and later heals a rank group.
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -40,7 +37,7 @@ type LaunchConfig struct {
 	// [Ranks, Capacity) are spare storage-member slots: no process runs
 	// there at launch, but an ops-plane join request ("wantjoin" from a
 	// worker) spawns one, which is then admitted by a membership epoch
-	// agreement among the running workers. Requires SelfHeal.
+	// agreement among the running workers.
 	Capacity int
 	// Exe is the worker executable; empty means this executable
 	// (os.Executable), the re-exec idiom c3node uses.
@@ -51,21 +48,14 @@ type LaunchConfig struct {
 	Args func(rank int, mpiAddrs, replAddrs []string) []string
 	// Env is extra environment for the workers, appended to os.Environ().
 	Env []string
-	// Disk, when true, allocates no replication addresses (workers are
-	// expected to share a DiskStore via Args/StorePath).
-	Disk bool
-	// SelfHeal runs the launcher as a dumb respawner: recovery is
-	// coordinated by the workers (which must run with NodeConfig.SelfHeal).
-	SelfHeal bool
-	// ExternalKill, in self-healing mode, makes the launcher act as an
-	// outside operator: it SIGKILLs the configured rank mid-run with no
-	// failure spec inside the worker and no recovery coordination — the
-	// survivors must detect and recover on their own.
+	// ExternalKill makes the launcher act as an outside operator: it
+	// SIGKILLs the configured rank mid-run with no failure spec inside the
+	// worker and no recovery coordination — the survivors must detect and
+	// recover on their own.
 	ExternalKill *ExternalKillSpec
-	// ExternalPartition, in self-healing mode, severs a rank group from
-	// the rest mid-run and heals it after a delay (the part/heal pipe
-	// commands on every worker). The workers' quorum logic must sort out
-	// who may commit.
+	// ExternalPartition severs a rank group from the rest mid-run and
+	// heals it after a delay (the part/heal pipe commands on every
+	// worker). The workers' quorum logic must sort out who may commit.
 	ExternalPartition *ExternalPartitionSpec
 	// MaxRestarts bounds recovery cycles (default 3).
 	MaxRestarts int
@@ -93,10 +83,11 @@ type LaunchResult struct {
 	Results map[int]string
 	// Stats holds each rank's reported store statistics line (for the
 	// diskless store: "reassemblies=<n>", counting checkpoints rebuilt from
-	// peer fragments over the wire; in self-healing mode additionally
-	// detections=, epochs=, suspect_us=, agree_us= and restore_us=).
+	// peer fragments over the wire, restores=, checkpoints=, detections=,
+	// epochs=, suspect_us=, agree_us= and restore_us=).
 	Stats map[int]string
-	// KillTime is when the external SIGKILL was delivered (zero if none).
+	// KillTime is when the launcher last delivered a SIGKILL (a victim
+	// event or the external kill; zero if none).
 	// Compared against the workers' reported suspect_us timestamps it
 	// yields the end-to-end detection latency (same host, same clock).
 	KillTime time.Time
@@ -196,51 +187,16 @@ func Launch(cfg LaunchConfig) (*LaunchResult, error) {
 	if cfg.Stderr == nil {
 		cfg.Stderr = os.Stderr
 	}
-
 	if cfg.Capacity == 0 {
 		cfg.Capacity = cfg.Ranks
 	}
 	if cfg.Capacity < cfg.Ranks {
 		return nil, fmt.Errorf("cluster: capacity %d below the %d-rank compute world", cfg.Capacity, cfg.Ranks)
 	}
-	if cfg.Capacity > cfg.Ranks && !cfg.SelfHeal {
-		return nil, fmt.Errorf("cluster: spare slots (capacity %d > %d ranks) require SelfHeal (membership agreements live in the workers)", cfg.Capacity, cfg.Ranks)
-	}
-
-	// The MPI plane spans only the fixed compute world; the replication
-	// plane (store + detector) spans every slot membership can grow into.
-	mpiAddrs, err := freeAddrs(cfg.Ranks)
-	if err != nil {
-		return nil, err
-	}
-	var replAddrs []string
-	if !cfg.Disk {
-		if replAddrs, err = freeAddrs(cfg.Capacity); err != nil {
-			return nil, err
-		}
-	}
-	l := &launcher{
-		cfg:       cfg,
-		mpiAddrs:  mpiAddrs,
-		replAddrs: replAddrs,
-		workers:   make([]*workerProc, cfg.Capacity),
-		events:    make(chan launchEvent, 64),
-		deadline:  time.Now().Add(cfg.Timeout),
-	}
-	defer l.cleanup()
-
-	if cfg.ExternalKill != nil {
-		if !cfg.SelfHeal {
-			return nil, fmt.Errorf("cluster: ExternalKill requires SelfHeal (the legacy launcher would never recover an uncoordinated kill)")
-		}
-		if r := cfg.ExternalKill.Rank; r < 0 || r >= cfg.Ranks {
-			return nil, fmt.Errorf("cluster: ExternalKill rank %d out of range [0,%d)", r, cfg.Ranks)
-		}
+	if ek := cfg.ExternalKill; ek != nil && (ek.Rank < 0 || ek.Rank >= cfg.Ranks) {
+		return nil, fmt.Errorf("cluster: ExternalKill rank %d out of range [0,%d)", ek.Rank, cfg.Ranks)
 	}
 	if ep := cfg.ExternalPartition; ep != nil {
-		if !cfg.SelfHeal {
-			return nil, fmt.Errorf("cluster: ExternalPartition requires SelfHeal (quorum fencing lives in the workers' detectors)")
-		}
 		if len(ep.GroupA) == 0 || len(ep.GroupA) >= cfg.Ranks {
 			return nil, fmt.Errorf("cluster: ExternalPartition group %v must be a proper non-empty subset of %d ranks", ep.GroupA, cfg.Ranks)
 		}
@@ -254,26 +210,35 @@ func Launch(cfg LaunchConfig) (*LaunchResult, error) {
 		}
 	}
 
+	// The MPI plane spans only the fixed compute world; the replication
+	// plane (store + detector) spans every slot membership can grow into.
+	mpiAddrs, err := freeAddrs(cfg.Ranks)
+	if err != nil {
+		return nil, err
+	}
+	replAddrs, err := freeAddrs(cfg.Capacity)
+	if err != nil {
+		return nil, err
+	}
+	l := &launcher{
+		cfg:       cfg,
+		mpiAddrs:  mpiAddrs,
+		replAddrs: replAddrs,
+		workers:   make([]*workerProc, cfg.Capacity),
+		events:    make(chan launchEvent, 64),
+		deadline:  time.Now().Add(cfg.Timeout),
+	}
+	defer l.cleanup()
+
 	for r := 0; r < cfg.Ranks; r++ {
 		if err := l.spawn(r); err != nil {
 			return nil, err
 		}
 	}
-	if err := l.awaitEach("ready", l.allRanks()); err != nil {
+	if err := l.awaitReady(); err != nil {
 		return nil, err
 	}
-	if cfg.SelfHeal {
-		return l.driveSelfHeal()
-	}
 	return l.drive()
-}
-
-func (l *launcher) allRanks() map[int]bool {
-	m := make(map[int]bool, l.cfg.Ranks)
-	for r := 0; r < l.cfg.Ranks; r++ {
-		m[r] = true
-	}
-	return m
 }
 
 // spawn starts (or re-executes) one rank's worker process.
@@ -343,162 +308,56 @@ func (l *launcher) nextEvent() (launchEvent, error) {
 	}
 }
 
-// handleCommon processes events that can arrive in any phase. It reports
-// whether the event was consumed.
-func (l *launcher) handleCommon(ev launchEvent) (consumed bool, err error) {
-	switch ev.fields[0] {
-	case "victim":
-		// The failure spec fired inside the worker, which is now frozen at
-		// the exact protocol point: deliver the real SIGKILL.
-		w := l.workers[ev.rank]
-		l.logf("rank %d: victim — delivering SIGKILL to pid %d", ev.rank, w.cmd.Process.Pid)
-		if err := w.cmd.Process.Kill(); err != nil {
-			return true, fmt.Errorf("cluster: SIGKILL rank %d: %w", ev.rank, err)
-		}
-		return true, nil
-	case "error":
-		return true, fmt.Errorf("cluster: rank %d: %s", ev.rank, strings.Join(ev.fields[1:], " "))
-	}
-	return false, nil
-}
-
-// awaitEach consumes events until every rank in want has produced the
-// given event kind.
-func (l *launcher) awaitEach(kind string, want map[int]bool) error {
-	for len(want) > 0 {
+// awaitReady consumes events until every compute rank's worker reports
+// ready (store and meshes up).
+func (l *launcher) awaitReady() error {
+	ready := make(map[int]bool, l.cfg.Ranks)
+	for len(ready) < l.cfg.Ranks {
 		ev, err := l.nextEvent()
 		if err != nil {
 			return err
 		}
-		if consumed, err := l.handleCommon(ev); err != nil {
-			return err
-		} else if consumed {
-			continue
-		}
-		if ev.fields[0] == kind && want[ev.rank] {
-			delete(want, ev.rank)
-			continue
-		}
-		if ev.fields[0] == "exit" {
-			return fmt.Errorf("cluster: rank %d worker died while awaiting %q", ev.rank, kind)
+		switch ev.fields[0] {
+		case "ready":
+			ready[ev.rank] = true
+		case "error":
+			return fmt.Errorf("cluster: rank %d: %s", ev.rank, strings.Join(ev.fields[1:], " "))
+		case "exit":
+			return fmt.Errorf("cluster: rank %d worker died before it was ready", ev.rank)
 		}
 	}
 	return nil
 }
 
-// drive runs attempts until one completes on every rank, recovering from
-// worker deaths in between.
+// drive is the respawner's event loop: broadcast the initial run, then
+// only react. Recovery sequencing lives in the workers; the launcher's
+// primitives are spawn(rank) on a coordinator's request and the operator's
+// SIGKILLs and partitions.
 func (l *launcher) drive() (*LaunchResult, error) {
 	res := &LaunchResult{Results: make(map[int]string), Stats: make(map[int]string)}
-	restore := 0
-	for attempt := 0; ; attempt++ {
-		res.Attempts++
-		l.logf("attempt %d (restore=%d)", attempt, restore)
-		for _, w := range l.workers {
-			w.command("run %d %d", attempt, restore)
-		}
-		done := make(map[int]string)
-		var died []int
-		for len(done) < l.cfg.Ranks && len(died) == 0 {
-			ev, err := l.nextEvent()
-			if err != nil {
-				return res, err
-			}
-			if consumed, err := l.handleCommon(ev); err != nil {
-				return res, err
-			} else if consumed {
-				continue
-			}
-			switch ev.fields[0] {
-			case "done":
-				if len(ev.fields) >= 2 && ev.fields[1] == strconv.Itoa(attempt) {
-					result := ""
-					if len(ev.fields) >= 3 {
-						result = ev.fields[2]
-					}
-					done[ev.rank] = result
-				}
-			case "stat":
-				if len(ev.fields) >= 3 && ev.fields[1] == strconv.Itoa(attempt) {
-					res.Stats[ev.rank] = strings.Join(ev.fields[2:], " ")
-				}
-			case "exit":
-				if ev.proc != l.workers[ev.rank] {
-					continue // a dead predecessor's event, not the current worker
-				}
-				l.workers[ev.rank].dead = true
-				died = append(died, ev.rank)
-				l.logf("rank %d: worker died", ev.rank)
-			case "down":
-				// The rank observed the world going down; recovery follows
-				// once the death event arrives.
-			}
-		}
-		if len(done) == l.cfg.Ranks {
-			res.Results = done
-			return res, nil
-		}
-
-		// Recovery: tear the survivors' attempt down, re-exec the dead.
-		res.Restarts += len(died)
-		if res.Restarts > l.cfg.MaxRestarts {
-			return res, fmt.Errorf("cluster: %d worker deaths exceed MaxRestarts=%d", res.Restarts, l.cfg.MaxRestarts)
-		}
-		survivors := make(map[int]bool)
-		for _, w := range l.workers {
-			if !w.dead {
-				survivors[w.rank] = true
-				w.command("abort %d", attempt)
-			}
-		}
-		moreDied, err := l.awaitAborted(attempt, survivors)
-		if err != nil {
-			return res, err
-		}
-		for _, r := range moreDied {
-			l.workers[r].dead = true
-			l.logf("rank %d: worker died during abort", r)
-			died = append(died, r)
-		}
-		res.Restarts += len(moreDied)
-		if res.Restarts > l.cfg.MaxRestarts {
-			return res, fmt.Errorf("cluster: %d worker deaths exceed MaxRestarts=%d", res.Restarts, l.cfg.MaxRestarts)
-		}
-		for _, r := range died {
-			l.logf("rank %d: re-executing", r)
-			if err := l.spawn(r); err != nil {
-				return res, err
-			}
-		}
-		ready := make(map[int]bool)
-		for _, r := range died {
-			ready[r] = true
-		}
-		if err := l.awaitEach("ready", ready); err != nil {
-			return res, err
-		}
-		restore = 1
-	}
-}
-
-// driveSelfHeal is the dumb-respawner event loop: broadcast the initial
-// run, then only react. Recovery sequencing lives in the workers; the
-// launcher's sole primitives are spawn(rank) on a coordinator's request
-// and — when configured — the operator's external SIGKILL.
-func (l *launcher) driveSelfHeal() (*LaunchResult, error) {
-	res := &LaunchResult{Results: make(map[int]string), Stats: make(map[int]string)}
 	for _, w := range l.workers[:l.cfg.Ranks] {
-		w.command("run 0 0")
+		w.command("run")
 	}
 
 	ek := l.cfg.ExternalKill
 	killed := false
-	kill := func(rank int) error {
-		w := l.workers[rank]
-		l.logf("rank %d: external SIGKILL to pid %d", rank, w.cmd.Process.Pid)
+	// kill delivers the operator's SIGKILL to each listed rank at one
+	// instant. A rank whose process already exited is skipped: a
+	// correlated victim may have died on its own.
+	kill := func(ranks ...int) error {
 		res.KillTime = time.Now()
 		killed = true
-		return w.cmd.Process.Kill()
+		for _, r := range ranks {
+			w := l.workers[r]
+			if w == nil || w.dead {
+				continue
+			}
+			l.logf("rank %d: SIGKILL to pid %d", r, w.cmd.Process.Pid)
+			if err := w.cmd.Process.Kill(); err != nil && !errors.Is(err, os.ErrProcessDone) {
+				return fmt.Errorf("cluster: SIGKILL rank %d: %w", r, err)
+			}
+		}
+		return nil
 	}
 	if ek != nil && ek.AfterCheckpoints <= 0 && ek.AfterJoins <= 0 {
 		// Kill before the rank's first committed line: the from-scratch case.
@@ -550,15 +409,18 @@ func (l *launcher) driveSelfHeal() (*LaunchResult, error) {
 		case "error":
 			return res, fmt.Errorf("cluster: rank %d: %s", ev.rank, strings.Join(ev.fields[1:], " "))
 		case "victim":
-			// A worker froze at its own failure spec. The launcher plays
-			// operator and delivers the SIGKILL, but — unlike legacy mode —
-			// coordinates nothing afterwards: the survivors must notice.
-			res.KillTime = time.Now()
-			killed = true
-			w := l.workers[ev.rank]
-			l.logf("rank %d: victim — delivering SIGKILL to pid %d (self-heal: no coordination follows)", ev.rank, w.cmd.Process.Pid)
-			if err := w.cmd.Process.Kill(); err != nil {
-				return res, fmt.Errorf("cluster: SIGKILL rank %d: %w", ev.rank, err)
+			// A worker froze at its own failure spec: deliver the real SIGKILL
+			// to it and, at the same instant, to the correlated ranks the
+			// event lists (FailureSpec.Correlated — one fault domain). No
+			// coordination follows: the survivors must notice.
+			victims := []int{ev.rank}
+			for _, f := range ev.fields[1:] {
+				if r, err := strconv.Atoi(f); err == nil && r >= 0 && r < len(l.workers) {
+					victims = append(victims, r)
+				}
+			}
+			if err := kill(victims...); err != nil {
+				return res, err
 			}
 		case "heal-timer":
 			if parted && !healed {
@@ -737,35 +599,4 @@ func (l *launcher) driveSelfHeal() (*LaunchResult, error) {
 			// what happens next.
 		}
 	}
-}
-
-// awaitAborted waits for each survivor to acknowledge the abort token. A
-// survivor dying during the abort is tolerated: it is reported back so
-// the caller adds it to the re-exec set (MaxRestarts still bounds total
-// deaths).
-func (l *launcher) awaitAborted(token int, want map[int]bool) (died []int, err error) {
-	tok := strconv.Itoa(token)
-	for len(want) > 0 {
-		ev, err := l.nextEvent()
-		if err != nil {
-			return died, err
-		}
-		if consumed, err := l.handleCommon(ev); err != nil {
-			return died, err
-		} else if consumed {
-			continue
-		}
-		switch ev.fields[0] {
-		case "aborted":
-			if len(ev.fields) >= 2 && ev.fields[1] == tok && want[ev.rank] {
-				delete(want, ev.rank)
-			}
-		case "exit":
-			if ev.proc == l.workers[ev.rank] && want[ev.rank] {
-				delete(want, ev.rank)
-				died = append(died, ev.rank)
-			}
-		}
-	}
-	return died, nil
 }

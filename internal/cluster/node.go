@@ -2,18 +2,22 @@ package cluster
 
 // This file is the per-process half of the multi-process deployment mode:
 // one OS process per rank (a "node"), real TCP between them, and real
-// SIGKILL as the failure injector. RunNode hosts one rank and takes orders
-// from the launcher (launch.go) over its stdin/stdout pipes:
+// SIGKILL as the failure injector. RunNode hosts one rank and talks to the
+// launcher (launch.go) over its stdin/stdout pipes:
 //
-//	launcher -> node:  run <attempt> <restore>   start an attempt
-//	                   abort <token>             tear the current attempt down
+//	launcher -> node:  run                       start the detector and the
+//	                                             first attempt
 //	                   join                      adopt the world's state from
-//	                                             peers (self-heal respawn, or a
+//	                                             peers (a respawned rank, or a
 //	                                             spare slot's first admission)
+//	                   part <a+b+...>            sever that rank group
+//	                   heal                      lift the partition
 //	                   quit                      exit
 //	node -> launcher:  ready                     store + meshes are up
-//	                   victim                    failure spec fired; awaiting SIGKILL
-//	                   ckpt <attempt> <version>  a checkpoint committed (self-heal)
+//	                   victim [<rank>...]        failure spec fired; awaiting
+//	                                             SIGKILL for itself and the
+//	                                             listed correlated ranks
+//	                   ckpt <attempt> <version>  a checkpoint committed
 //	                   respawn <rank>            coordinator requests a re-exec
 //	                   wantjoin <slot>           ops plane asks for a new member
 //	                                             (slot -1: launcher picks a spare)
@@ -23,29 +27,25 @@ package cluster
 //	                   stat <attempt> <k=v...>   store statistics for the attempt
 //	                   done <attempt> <result>   attempt completed
 //	                   down <attempt>            attempt ended with the world down
-//	                   aborted <token>           abort acknowledged, attempt torn down
 //	                   error <msg>               fatal node error
 //
-// A node outlives its attempts: the replicated store's memory (and its
+// A node outlives its attempts: the distributed store's memory (and its
 // replication TCP mesh) persists across world restarts, exactly like a
 // cluster node whose surviving RAM holds checkpoint replicas while the MPI
-// job is relaunched. Only a node that really dies — the SIGKILLed victim —
-// loses its memory, and its re-executed replacement reassembles its
-// checkpoints from peers over the wire.
+// job is relaunched. Only a node that really dies loses its memory, and
+// its re-executed replacement reassembles its checkpoints from peers over
+// the wire.
 //
-// Two coordination modes exist. In the legacy launcher-driven mode the
-// launcher is an omniscient oracle: it delivers the SIGKILL itself, aborts
-// the survivors, re-execs the dead rank, and broadcasts the next attempt.
-// In self-healing mode (NodeConfig.SelfHeal) the node shares its long-lived
-// replication mesh between the distributed store and a failure detector
-// (internal/detect) through a transport.Demux: survivors detect a death via
-// phi-accrual heartbeat monitoring, agree on an epoch-numbered dead set,
-// interrupt in-flight commits by advancing the store's epoch, elect the
-// lowest-ranked survivor to ask the launcher — now a dumb respawner — for
-// replacement processes, and enter the restore attempt on their own. The
-// attempt number is derived from the agreed epoch (attempt = epoch - 1),
-// so every process, including a freshly joined replacement, converges on
-// the same MPI-mesh generation without a central sequencer.
+// Recovery is coordinated by the nodes themselves. The long-lived
+// replication mesh is shared between the distributed store and a failure
+// detector (internal/detect) through a transport.Demux: survivors detect a
+// death via phi-accrual heartbeat monitoring, agree on an epoch-numbered
+// dead set, interrupt in-flight commits by advancing the store's epoch,
+// elect the lowest-ranked survivor to ask the launcher — a dumb respawner —
+// for replacement processes, and enter the restore attempt on their own.
+// The attempt number is derived from the agreed epoch (attempt = epoch -
+// 1), so every process, including a freshly joined replacement, converges
+// on the same MPI-mesh generation without a central sequencer.
 //
 // Elastic membership (NodeConfig.Capacity > Ranks) decouples the two
 // meanings "rank" used to conflate: the MPI world that runs the
@@ -84,8 +84,7 @@ import (
 	"c3/internal/transport/tcp"
 )
 
-// SelfHealConfig enables and tunes the autonomous failure-detection and
-// recovery mode. It requires the diskless replicated store (ReplAddrs).
+// SelfHealConfig tunes the failure detector that drives recovery.
 type SelfHealConfig struct {
 	// HeartbeatInterval is the detector's ping period (default 25ms).
 	HeartbeatInterval time.Duration
@@ -104,11 +103,11 @@ type NodeConfig struct {
 	// it hosts checkpoint shards and votes in agreements but runs no app.
 	Rank, Ranks int
 	// Capacity is the total pre-allocated slot count the elastic membership
-	// can grow into (0: Ranks — the classic fixed world). Requires SelfHeal
-	// when larger than Ranks; ReplAddrs must then list Capacity addresses.
+	// can grow into (0: Ranks — the classic fixed world). ReplAddrs must
+	// list Capacity addresses.
 	Capacity int
 	// OpsAddr, when non-empty, starts the embedded operations control plane
-	// (internal/ops) on that address. Requires SelfHeal.
+	// (internal/ops) on that address.
 	OpsAddr string
 	// OpsDebug additionally exposes net/http/pprof and runtime/trace
 	// start/stop verbs on the ops server (profiling a live world).
@@ -121,12 +120,9 @@ type NodeConfig struct {
 	// MPIAddrs are the per-rank addresses of the MPI-plane TCP meshes (one
 	// fresh mesh per attempt, tagged with the attempt's generation).
 	MPIAddrs []string
-	// ReplAddrs, when non-empty, are the per-rank addresses of the
-	// long-lived replication mesh backing a diskless stable.DistStore.
+	// ReplAddrs are the per-slot addresses of the long-lived replication
+	// mesh carrying the diskless stable.DistStore and the failure detector.
 	ReplAddrs []string
-	// StorePath is the shared-filesystem DiskStore root used when
-	// ReplAddrs is empty.
-	StorePath string
 	// Codec selects the diskless store's fragment codec: "dup" (full
 	// +1/+2 replication, default), "xor" (k data + 1 parity shard on
 	// distinct ring successors, tolerates one loss), or "rs"
@@ -141,10 +137,10 @@ type NodeConfig struct {
 	// GroupSize partitions the world into checkpoint groups of that many
 	// ring slots (0: flat world). Grouping confines the store's shard
 	// fan-out to group-local successors plus one cross-group parity
-	// holder, and — in self-healing mode — switches the failure detector
-	// to the two-level topology: group-local heartbeat rings, per-group
-	// delegate report trees, and inter-group agreement relayed through
-	// delegates over the transport relay plane.
+	// holder, and switches the failure detector to the two-level topology:
+	// group-local heartbeat rings, per-group delegate report trees, and
+	// inter-group agreement relayed through delegates over the transport
+	// relay plane.
 	GroupSize int
 	// App is the application main, run once per attempt.
 	App func(Env) error
@@ -158,11 +154,12 @@ type NodeConfig struct {
 	// FullCheckpointEvery enables incremental checkpointing (see Config).
 	FullCheckpointEvery int
 	// Kill schedules this node's own failure: when the spec fires (on the
-	// first attempt), the node reports itself as the victim and blocks,
-	// awaiting the launcher's real SIGKILL.
+	// first attempt), the node reports itself — and Kill.Correlated, its
+	// fault domain — as the victim and blocks, awaiting the launcher's
+	// real SIGKILL.
 	Kill *FailureSpec
-	// SelfHeal, when non-nil, runs the node in self-healing mode.
-	SelfHeal *SelfHealConfig
+	// SelfHeal tunes the failure detector; zero fields keep the defaults.
+	SelfHeal SelfHealConfig
 	// AckTimeout, QueryTimeout and QueryRetries tune the distributed
 	// store's neighbor-acknowledgment and recovery-query behavior; zero
 	// values keep the store defaults. The detector's suspicion threshold
@@ -181,22 +178,23 @@ type NodeConfig struct {
 
 // node is the running state of one rank's process.
 type node struct {
-	cfg   NodeConfig
-	store stable.Store
-	dist  *stable.DistStore // non-nil when diskless
-	det   *detect.Detector  // non-nil in self-healing mode
+	cfg  NodeConfig
+	dist *stable.DistStore
+	det  *detect.Detector
 
 	outMu sync.Mutex
 
 	statMu    sync.Mutex
 	lastStats ckpt.Stats // the protocol counters of the last finished attempt
 
+	restoreStart time.Time // when the latest restore attempt was entered (event loop only)
+
 	curAttempt atomic.Int64               // attempt whose events (ckpt) are being emitted
 	lastLine   atomic.Int64               // last locally committed version (-1: none)
 	layer      atomic.Pointer[ckpt.Layer] // running attempt's protocol layer (ops checkpoint trigger)
 }
 
-// distOptions assembles the store options shared by both modes.
+// distOptions assembles the distributed store's options.
 func (cfg *NodeConfig) distOptions() ([]stable.Option, error) {
 	var opts []stable.Option
 	if cfg.Codec != "" || cfg.DataShards > 0 || cfg.ParityShards > 0 {
@@ -228,98 +226,6 @@ func (cfg *NodeConfig) distOptions() ([]stable.Option, error) {
 	return opts, nil
 }
 
-// RunNode hosts one rank until quit or stdin EOF. It is the body of
-// `c3node -worker`.
-func RunNode(cfg NodeConfig) error {
-	if cfg.Capacity == 0 {
-		cfg.Capacity = cfg.Ranks
-	}
-	if cfg.Rank < 0 || cfg.Rank >= cfg.Capacity || cfg.Ranks <= 0 || cfg.Capacity < cfg.Ranks {
-		return fmt.Errorf("cluster: node rank %d of %d (capacity %d)", cfg.Rank, cfg.Ranks, cfg.Capacity)
-	}
-	if cfg.App == nil {
-		return fmt.Errorf("cluster: node has no application")
-	}
-	if cfg.SelfHeal == nil && (cfg.Capacity > cfg.Ranks || cfg.Rank >= cfg.Ranks) {
-		return fmt.Errorf("cluster: elastic membership (capacity %d > %d ranks) requires self-healing mode", cfg.Capacity, cfg.Ranks)
-	}
-	if cfg.OpsAddr != "" && cfg.SelfHeal == nil {
-		return fmt.Errorf("cluster: the ops control plane requires self-healing mode")
-	}
-	if cfg.DialWindow == 0 {
-		cfg.DialWindow = 10 * time.Second
-	}
-	w := &node{cfg: cfg}
-	w.curAttempt.Store(-1)
-	w.lastLine.Store(-1)
-	// Salt the span-id space by rank so ids minted by different processes
-	// never collide when c3trace merges their dumps.
-	trace.SetSalt(uint64(cfg.Rank))
-	defer w.dumpTrace("exit")
-
-	if cfg.SelfHeal != nil {
-		if len(cfg.ReplAddrs) == 0 {
-			err := fmt.Errorf("cluster: self-healing mode requires the diskless replicated store (ReplAddrs)")
-			w.emit("error %v", err)
-			return err
-		}
-		return w.runSelfHeal()
-	}
-
-	switch {
-	case len(cfg.ReplAddrs) > 0:
-		dopts, err := cfg.distOptions()
-		if err != nil {
-			w.emit("error %v", err)
-			return err
-		}
-		rmesh, err := tcp.New(cfg.Rank, cfg.ReplAddrs, tcp.WithDialWindow(cfg.DialWindow))
-		if err != nil {
-			w.emit("error %v", err)
-			return err
-		}
-		w.dist = stable.NewDistStore(cfg.Rank, cfg.Ranks, rmesh, dopts...)
-		w.store = w.dist
-		defer w.dist.Close()
-	case cfg.StorePath != "":
-		disk, err := stable.NewDiskStore(cfg.StorePath)
-		if err != nil {
-			w.emit("error %v", err)
-			return err
-		}
-		// Stamp the configured codec geometry into commit markers so
-		// c3inspect reports the same configuration the diskless planes use.
-		if c, cerr := stable.NewCodec(cfg.Codec, cfg.DataShards, cfg.ParityShards); cerr == nil {
-			disk.SetMarkerInfo(c.ID(), c.DataShards(), c.ParityShards())
-		}
-		w.store = disk
-	default:
-		err := fmt.Errorf("cluster: node needs ReplAddrs or StorePath")
-		w.emit("error %v", err)
-		return err
-	}
-
-	cmds := w.commandStream()
-	w.emit("ready")
-	for cmd := range cmds {
-		switch cmd[0] {
-		case "run":
-			if len(cmd) < 3 {
-				w.emit("error malformed run command")
-				continue
-			}
-			attempt, _ := strconv.Atoi(cmd[1])
-			restore := cmd[2] == "1"
-			w.runAttempt(attempt, restore, cmds)
-		case "abort":
-			w.emit("aborted %s", tokenOf(cmd))
-		case "quit":
-			return nil
-		}
-	}
-	return nil
-}
-
 // commandStream turns the stdin pipe into a channel of parsed commands.
 func (w *node) commandStream() chan []string {
 	cmds := make(chan []string)
@@ -337,13 +243,6 @@ func (w *node) commandStream() chan []string {
 		close(cmds)
 	}()
 	return cmds
-}
-
-func tokenOf(cmd []string) string {
-	if len(cmd) > 1 {
-		return cmd[1]
-	}
-	return "?"
 }
 
 // dumpTrace writes the flight recorder's ring to TraceDir (no-op when
@@ -372,104 +271,34 @@ func (w *node) emit(format string, args ...any) {
 	}
 }
 
-// runAttempt executes one world launch, staying responsive to abort
-// commands while the application runs.
-func (w *node) runAttempt(attempt int, restore bool, cmds <-chan []string) {
-	if w.dist != nil {
-		w.dist.Resume()
-	}
-	w.curAttempt.Store(int64(attempt))
-	mesh, err := tcp.New(w.cfg.Rank, w.cfg.MPIAddrs,
-		tcp.WithGeneration(uint64(attempt+1)), tcp.WithDialWindow(w.cfg.DialWindow))
-	if err != nil {
-		w.emit("error %v", err)
-		return
-	}
-	done := make(chan error, 1)
-	go func() { done <- w.attemptBody(mesh, attempt, restore) }()
-
-	for {
-		select {
-		case err := <-done:
-			w.finishMesh(mesh)
-			switch {
-			case err == nil:
-				w.emitSuccess(attempt, nil)
-			case errors.Is(err, mpi.ErrDown):
-				w.emit("down %d", attempt)
-			default:
-				w.emit("error rank %d attempt %d: %v", w.cfg.Rank, attempt, err)
-			}
-			return
-		case cmd, ok := <-cmds:
-			if !ok || cmd[0] == "quit" {
-				w.teardown(mesh)
-				<-done
-				return
-			}
-			if cmd[0] == "abort" {
-				w.teardown(mesh)
-				<-done
-				w.finishMesh(mesh)
-				w.dumpTrace("abort")
-				w.emit("aborted %s", tokenOf(cmd))
-				return
-			}
-			w.emit("error unexpected %q during attempt", cmd[0])
-		}
-	}
-}
-
 // emitSuccess reports a completed attempt: the stat line (recovery
-// provenance, and in self-healing mode the detection/agreement/restore
-// latency decomposition) followed by the done event.
-func (w *node) emitSuccess(attempt int, sh *selfHealState) {
+// provenance and the detection/agreement/restore latency decomposition)
+// followed by the done event.
+func (w *node) emitSuccess(attempt int) {
 	result := ""
 	if w.cfg.Result != nil {
 		result = w.cfg.Result()
 	}
-	reasm := int64(0)
-	if w.dist != nil {
-		reasm = w.dist.Reassemblies()
-	}
 	w.statMu.Lock()
 	st := w.lastStats
 	w.statMu.Unlock()
+	tm := w.det.Times()
+	suspectUS, agreeUS, restoreUS := int64(0), int64(0), int64(0)
+	if !tm.SuspectAt.IsZero() {
+		suspectUS = tm.SuspectAt.UnixMicro()
+		if tm.AgreeAt.After(tm.SuspectAt) {
+			agreeUS = tm.AgreeAt.Sub(tm.SuspectAt).Microseconds()
+		}
+		if w.restoreStart.After(tm.SuspectAt) {
+			restoreUS = w.restoreStart.Sub(tm.SuspectAt).Microseconds()
+		}
+	}
 	// Recovery provenance: did this attempt restore from a line, and how
 	// many checkpoints were reassembled from peer fragments over the wire.
-	stat := fmt.Sprintf("stat %d reassemblies=%d restores=%d checkpoints=%d",
-		attempt, reasm, st.Restores, st.CheckpointsTaken)
-	if sh != nil {
-		tm := sh.det.Times()
-		suspectUS, agreeUS, restoreUS := int64(0), int64(0), int64(0)
-		if !tm.SuspectAt.IsZero() {
-			suspectUS = tm.SuspectAt.UnixMicro()
-			if tm.AgreeAt.After(tm.SuspectAt) {
-				agreeUS = tm.AgreeAt.Sub(tm.SuspectAt).Microseconds()
-			}
-			if sh.restoreStart.After(tm.SuspectAt) {
-				restoreUS = sh.restoreStart.Sub(tm.SuspectAt).Microseconds()
-			}
-		}
-		stat += fmt.Sprintf(" detections=%d epochs=%d suspect_us=%d agree_us=%d restore_us=%d",
-			sh.det.Detections(), sh.det.Epoch(), suspectUS, agreeUS, restoreUS)
-	}
-	w.emit("%s", stat)
+	w.emit("stat %d reassemblies=%d restores=%d checkpoints=%d detections=%d epochs=%d suspect_us=%d agree_us=%d restore_us=%d",
+		attempt, w.dist.Reassemblies(), st.Restores, st.CheckpointsTaken,
+		w.det.Detections(), w.det.Epoch(), suspectUS, agreeUS, restoreUS)
 	w.emit("done %d %s", attempt, result)
-}
-
-// teardown brings the current attempt down: the MPI mesh dies (all blocked
-// operations return ErrDown) and any commit blocked on a dead neighbor's
-// acknowledgment is released.
-func (w *node) teardown(mesh *tcp.Mesh) {
-	mesh.Shutdown()
-	if w.dist != nil {
-		w.dist.Interrupt()
-	}
-}
-
-func (w *node) finishMesh(mesh *tcp.Mesh) {
-	mesh.Close()
 }
 
 // attemptBody is one rank's share of one world launch — the multi-process
@@ -484,9 +313,14 @@ func (w *node) attemptBody(mesh *tcp.Mesh, attempt int, restore bool) error {
 		Policy:              w.cfg.Policy,
 		FullCheckpointEvery: w.cfg.FullCheckpointEvery,
 		// The failure fires at the exact protocol point the spec names, but
-		// the death itself is real: announce, then freeze until SIGKILL.
-		failAction: func() error {
-			w.emit("victim")
+		// the death itself is real: announce the victim and its correlated
+		// fault domain, then freeze until the launcher's SIGKILL.
+		failAction: func(correlated []int) error {
+			ev := "victim"
+			for _, r := range correlated {
+				ev += " " + strconv.Itoa(r)
+			}
+			w.emit("%s", ev)
 			select {}
 		},
 		onLayer: func(l *ckpt.Layer) { w.layer.Store(l) },
@@ -495,15 +329,13 @@ func (w *node) attemptBody(mesh *tcp.Mesh, attempt int, restore bool) error {
 	if w.cfg.Kill != nil && attempt == 0 && w.cfg.Kill.Rank == w.cfg.Rank {
 		failer = newFailureInjector([]FailureSpec{*w.cfg.Kill})
 	}
-	err, st := runRank(cfg, world, w.store, w.cfg.Rank, restore, failer)
+	err, st := runRank(cfg, world, w.dist, w.cfg.Rank, restore, failer)
 	w.layer.Store(nil)
 	w.statMu.Lock()
 	w.lastStats = st
 	w.statMu.Unlock()
 	return err
 }
-
-// --- Self-healing mode ---
 
 // epochEvent is a committed epoch transition delivered by the detector.
 type epochEvent struct {
@@ -513,20 +345,38 @@ type epochEvent struct {
 	newDead []int
 }
 
-// selfHealState bundles the self-healing runtime of one node.
-type selfHealState struct {
-	det          *detect.Detector
-	restoreStart time.Time // when the latest restore attempt was entered
-}
+// RunNode hosts one rank until quit or stdin EOF. It is the body of
+// `c3node -worker`. The long-lived replication mesh is demultiplexed
+// between the distributed store and the failure detector, and the node
+// coordinates its own recovery.
+func RunNode(cfg NodeConfig) error {
+	if cfg.Capacity == 0 {
+		cfg.Capacity = cfg.Ranks
+	}
+	if cfg.Rank < 0 || cfg.Rank >= cfg.Capacity || cfg.Ranks <= 0 || cfg.Capacity < cfg.Ranks {
+		return fmt.Errorf("cluster: node rank %d of %d (capacity %d)", cfg.Rank, cfg.Ranks, cfg.Capacity)
+	}
+	if cfg.App == nil {
+		return fmt.Errorf("cluster: node has no application")
+	}
+	if cfg.DialWindow == 0 {
+		cfg.DialWindow = 10 * time.Second
+	}
+	if cfg.SelfHeal.JoinTimeout <= 0 {
+		cfg.SelfHeal.JoinTimeout = 15 * time.Second
+	}
+	w := &node{cfg: cfg}
+	w.curAttempt.Store(-1)
+	w.lastLine.Store(-1)
+	// Salt the span-id space by rank so ids minted by different processes
+	// never collide when c3trace merges their dumps.
+	trace.SetSalt(uint64(cfg.Rank))
+	defer w.dumpTrace("exit")
 
-// runSelfHeal is RunNode's body in self-healing mode: the long-lived
-// replication mesh is demultiplexed between the distributed store and the
-// failure detector, and the node coordinates its own recovery.
-func (w *node) runSelfHeal() error {
-	cfg := w.cfg
-	sh := cfg.SelfHeal
-	if sh.JoinTimeout <= 0 {
-		sh.JoinTimeout = 15 * time.Second
+	if len(cfg.ReplAddrs) != cfg.Capacity {
+		err := fmt.Errorf("cluster: node needs %d replication-mesh addresses (ReplAddrs), got %d", cfg.Capacity, len(cfg.ReplAddrs))
+		w.emit("error %v", err)
+		return err
 	}
 	// The compute world is fixed at Ranks; membership (shard placement,
 	// quorum, agreement votes) is elastic across Capacity slots. A slot
@@ -561,7 +411,6 @@ func (w *node) runSelfHeal() error {
 	}))
 	dopts = append(dopts, stable.WithDistMembers(boot))
 	w.dist = stable.NewDistStore(cfg.Rank, cfg.Capacity, replPlane, dopts...)
-	w.store = w.dist
 	defer w.dist.Close()
 
 	epochCh := make(chan epochEvent, 16)
@@ -572,8 +421,8 @@ func (w *node) runSelfHeal() error {
 		Ranks:             cfg.Capacity,
 		Members:           boot,
 		Net:               detPlane,
-		HeartbeatInterval: sh.HeartbeatInterval,
-		PhiThreshold:      sh.PhiThreshold,
+		HeartbeatInterval: cfg.SelfHeal.HeartbeatInterval,
+		PhiThreshold:      cfg.SelfHeal.PhiThreshold,
 		GroupSize:         cfg.GroupSize,
 		Relay:             relay,
 		OnEpoch: func(epoch uint64, members member.Set, dead, newDead []int) {
@@ -616,7 +465,9 @@ func (w *node) runSelfHeal() error {
 		relay.Start()
 		defer relay.Close()
 	}
-	det.Start()
+	// The detector starts on the first launcher command, once this process
+	// knows whether it is a launch-time rank ("run") or a replacement that
+	// must adopt the world's state before acting on anything ("join").
 
 	if cfg.OpsAddr != "" {
 		var oo []ops.Option
@@ -631,7 +482,6 @@ func (w *node) runSelfHeal() error {
 		defer srv.Close()
 	}
 
-	state := &selfHealState{det: det}
 	cmds := w.commandStream()
 	w.emit("ready")
 
@@ -643,9 +493,6 @@ func (w *node) runSelfHeal() error {
 		partPairs [][2]int // active partition rules (nil when healed)
 	)
 	start := func(a int, restore bool) {
-		if w.dist != nil {
-			w.dist.Resume()
-		}
 		attempt = a
 		w.curAttempt.Store(int64(a))
 		if storage {
@@ -674,7 +521,7 @@ func (w *node) runSelfHeal() error {
 		}
 		mesh.Shutdown()
 		<-done
-		w.finishMesh(mesh)
+		mesh.Close()
 		mesh, done = nil, nil
 	}
 	defer stop()
@@ -687,15 +534,11 @@ func (w *node) runSelfHeal() error {
 			}
 			switch cmd[0] {
 			case "run":
-				if len(cmd) < 3 {
-					w.emit("error malformed run command")
-					continue
+				if attempt >= 0 {
+					continue // duplicate
 				}
-				a, _ := strconv.Atoi(cmd[1])
-				if done != nil || a <= attempt {
-					continue // already running or stale
-				}
-				start(a, cmd[2] == "1")
+				det.Start()
+				start(0, false)
 			case "join":
 				// Entry into a running world. A respawned compute rank is
 				// still a member and merely adopts the agreed epoch; a storage
@@ -705,9 +548,9 @@ func (w *node) runSelfHeal() error {
 				var epoch uint64
 				var jerr error
 				if storage {
-					epoch, jerr = det.JoinNew(sh.JoinTimeout)
+					epoch, jerr = det.JoinNew(cfg.SelfHeal.JoinTimeout)
 				} else {
-					epoch, jerr = det.Join(sh.JoinTimeout)
+					epoch, jerr = det.Join(cfg.SelfHeal.JoinTimeout)
 				}
 				if jerr != nil {
 					w.emit("error %v", jerr)
@@ -717,7 +560,7 @@ func (w *node) runSelfHeal() error {
 				w.dist.SetMembership(det.Members())
 				w.dist.AdvanceEpoch(epoch)
 				w.emit("joined %d", epoch)
-				state.restoreStart = time.Now()
+				w.restoreStart = time.Now()
 				w.dumpTrace("restore")
 				start(int(epoch)-1, true)
 			case "part":
@@ -748,12 +591,6 @@ func (w *node) runSelfHeal() error {
 				}
 			case "quit":
 				return nil
-			case "abort":
-				// Legacy command; in self-healing mode recovery is driven by
-				// epochs, but acknowledge so a mixed launcher doesn't hang.
-				stop()
-				w.dumpTrace("abort")
-				w.emit("aborted %s", tokenOf(cmd))
 			}
 
 		case ev := <-epochCh:
@@ -785,13 +622,13 @@ func (w *node) runSelfHeal() error {
 					// the store's query protocol; off the critical path (the
 					// binding negotiation is Restore's collective reduction).
 					go func(epoch uint64) {
-						v, ok, err := w.store.LastCommitted(cfg.Rank)
+						v, ok, err := w.dist.LastCommitted(cfg.Rank)
 						w.cfg.Log("rank %d: coordinating epoch %d recovery, candidate line %d (ok=%v err=%v)",
 							cfg.Rank, epoch, v, ok, err)
 					}(ev.epoch)
 				}
 			}
-			state.restoreStart = time.Now()
+			w.restoreStart = time.Now()
 			// Dump before re-entering the attempt so the suspect/gossip/agree
 			// window that produced this epoch is on disk even if the restore
 			// itself dies.
@@ -799,11 +636,11 @@ func (w *node) runSelfHeal() error {
 			start(int(ev.epoch)-1, true)
 
 		case err := <-done:
-			w.finishMesh(mesh)
+			mesh.Close()
 			mesh, done = nil, nil
 			switch {
 			case err == nil:
-				w.emitSuccess(attempt, state)
+				w.emitSuccess(attempt)
 				// Stay alive: a later failure elsewhere can still roll the
 				// world back, in which case the epoch event restarts us.
 			case errors.Is(err, mpi.ErrDown):

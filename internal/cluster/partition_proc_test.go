@@ -8,47 +8,11 @@ package cluster_test
 // the whole world converges to the failure-free checksums.
 
 import (
-	"os"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 
 	"c3/internal/cluster"
 )
-
-// launchPartition runs a self-healing multi-process world with an
-// external partition injected by the launcher.
-func launchPartition(t *testing.T, ranks int, part *cluster.ExternalPartitionSpec, extra ...string) *cluster.LaunchResult {
-	t.Helper()
-	res, err := cluster.Launch(cluster.LaunchConfig{
-		Ranks:             ranks,
-		Exe:               os.Args[0],
-		Env:               []string{procWorkerEnv + "=1", "GOTRACEBACK=all"},
-		Timeout:           90 * time.Second,
-		SelfHeal:          true,
-		ExternalPartition: part,
-		Args: func(rank int, mpiAddrs, replAddrs []string) []string {
-			args := []string{
-				"-rank", strconv.Itoa(rank),
-				"-ranks", strconv.Itoa(ranks),
-				"-peers", strings.Join(mpiAddrs, ","),
-				"-repl-peers", strings.Join(replAddrs, ","),
-				"-self-heal",
-				"-heartbeat", "15ms",
-				"-phi", "6",
-				"-query-timeout", "1s",
-				"-query-retries", "2",
-			}
-			return append(args, extra...)
-		},
-		Log: t.Logf,
-	})
-	if err != nil {
-		t.Fatalf("partition launch: %v", err)
-	}
-	return res
-}
 
 func TestMultiProcessPartitionHeal(t *testing.T) {
 	if testing.Short() {
@@ -57,7 +21,7 @@ func TestMultiProcessPartitionHeal(t *testing.T) {
 	const ranks = 5
 	minority := []int{3, 4}
 	ref := procReference(t, ranks)
-	res := launchPartition(t, ranks,
+	res := launchProcs(t, ranks,
 		&cluster.ExternalPartitionSpec{
 			GroupA:           minority,
 			AfterCheckpoints: 2,

@@ -1,11 +1,13 @@
 package cluster_test
 
-// The multi-process end-to-end test: the test binary re-executes itself as
-// per-rank worker processes (TestMain intercepts the worker role before
-// any tests run), the launcher SIGKILLs one rank mid-run, and the world
-// must recover over real TCP — the re-executed rank reassembling its
-// checkpoints from its +1/+2 neighbors through the distributed replicated
-// store — and converge to the failure-free checksums.
+// The multi-process end-to-end tests: the test binary re-executes itself
+// as per-rank worker processes (TestMain intercepts the worker role before
+// any tests run), a worker's failure spec freezes it at an exact protocol
+// point and the launcher SIGKILLs it there, and the survivors must detect
+// the death, agree on the next epoch, and recover over real TCP — the
+// re-executed rank reassembling its checkpoints from its +1/+2 neighbors
+// through the distributed replicated store — converging to the
+// failure-free checksums.
 
 import (
 	"flag"
@@ -45,15 +47,13 @@ func runProcWorker() {
 		replPeers = fs.String("repl-peers", "", "")
 		every     = fs.Int("every", 4, "")
 		async     = fs.Bool("async", false, "")
-		killRank  = fs.Int("kill-rank", -1, "")
-		killRank2 = fs.Int("kill-rank2", -1, "")
 		killAt    = fs.Int("kill-at", 0, "")
 		killAfter = fs.Int("kill-after", 0, "")
+		killWith  = fs.String("kill-with", "", "")
 		codec     = fs.String("codec", "", "")
 		shards    = fs.Int("shards", 0, "")
 		parity    = fs.Int("parity", 0, "")
 		groupSz   = fs.Int("group-size", 0, "")
-		selfHeal  = fs.Bool("self-heal", false, "")
 		heartbeat = fs.Duration("heartbeat", 15*time.Millisecond, "")
 		phi       = fs.Float64("phi", 6, "")
 		ackTO     = fs.Duration("ack-timeout", 0, "")
@@ -83,6 +83,7 @@ func runProcWorker() {
 		ReplAddrs: strings.Split(*replPeers, ","),
 		App:       workload,
 		Policy:    ckpt.Policy{EveryNthPragma: *every, AsyncCommit: *async},
+		SelfHeal:  cluster.SelfHealConfig{HeartbeatInterval: *heartbeat, PhiThreshold: *phi},
 		In:        os.Stdin,
 		Out:       os.Stdout,
 		Result: func() string {
@@ -92,12 +93,6 @@ func runProcWorker() {
 			}
 			return strconv.Itoa(v.(int))
 		},
-	}
-	if *selfHeal {
-		nc.SelfHeal = &cluster.SelfHealConfig{
-			HeartbeatInterval: *heartbeat,
-			PhiThreshold:      *phi,
-		}
 	}
 	nc.AckTimeout, nc.QueryTimeout, nc.QueryRetries = *ackTO, *queryTO, *queryN
 	nc.Codec, nc.DataShards, nc.ParityShards = *codec, *shards, *parity
@@ -109,8 +104,16 @@ func runProcWorker() {
 				append([]any{*rank, time.Since(start).Microseconds()}, args...)...)
 		}
 	}
-	if *killRank == *rank || *killRank2 == *rank {
+	if *killAt > 0 {
 		nc.Kill = &cluster.FailureSpec{Rank: *rank, AtPragma: *killAt, AfterCheckpoints: *killAfter}
+		if *killWith != "" {
+			with, err := cluster.ParseGroup(*killWith)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "proc worker rank %d: -kill-with: %v\n", *rank, err)
+				os.Exit(1)
+			}
+			nc.Kill.Correlated = with
+		}
 	}
 	if err := cluster.RunNode(nc); err != nil {
 		fmt.Fprintf(os.Stderr, "proc worker rank %d: %v\n", *rank, err)
@@ -140,24 +143,58 @@ func procReference(t *testing.T, ranks int) map[int]int {
 	return ref
 }
 
-func launchProcs(t *testing.T, ranks int, extra ...string) *cluster.LaunchResult {
+// launchProcs runs a multi-process world from the test binary's worker
+// mode. fault selects the injected failure: nil (failure-free), a
+// *cluster.FailureSpec (fired inside the victim worker at an exact pragma;
+// the launcher SIGKILLs it and its Correlated ranks), a
+// *cluster.ExternalKillSpec (an operator SIGKILL with no spec inside any
+// worker), or a *cluster.ExternalPartitionSpec (a split healed later).
+// extra worker flags follow the detector and store tuning, so they win.
+func launchProcs(t *testing.T, ranks int, fault any, extra ...string) *cluster.LaunchResult {
 	t.Helper()
-	res, err := cluster.Launch(cluster.LaunchConfig{
+	cfg := cluster.LaunchConfig{
 		Ranks:   ranks,
 		Exe:     os.Args[0],
 		Env:     []string{procWorkerEnv + "=1", "GOTRACEBACK=all"},
 		Timeout: 90 * time.Second,
-		Args: func(rank int, mpiAddrs, replAddrs []string) []string {
-			args := []string{
-				"-rank", strconv.Itoa(rank),
-				"-ranks", strconv.Itoa(ranks),
-				"-peers", strings.Join(mpiAddrs, ","),
-				"-repl-peers", strings.Join(replAddrs, ","),
+		Log:     t.Logf,
+	}
+	var kill *cluster.FailureSpec
+	switch f := fault.(type) {
+	case nil:
+	case *cluster.FailureSpec:
+		kill = f
+	case *cluster.ExternalKillSpec:
+		cfg.ExternalKill = f
+	case *cluster.ExternalPartitionSpec:
+		cfg.ExternalPartition = f
+	default:
+		t.Fatalf("launchProcs: unknown fault %T", fault)
+	}
+	cfg.Args = func(rank int, mpiAddrs, replAddrs []string) []string {
+		args := []string{
+			"-rank", strconv.Itoa(rank),
+			"-ranks", strconv.Itoa(ranks),
+			"-peers", strings.Join(mpiAddrs, ","),
+			"-repl-peers", strings.Join(replAddrs, ","),
+			"-heartbeat", "15ms",
+			"-phi", "6",
+			// Tuned with the suspicion threshold: recovery reads give a
+			// still-rejoining peer a second sweep instead of one long wait.
+			"-query-timeout", "1s",
+			"-query-retries", "2",
+		}
+		if kill != nil && kill.Rank == rank {
+			args = append(args,
+				"-kill-at", strconv.Itoa(kill.AtPragma),
+				"-kill-after", strconv.Itoa(kill.AfterCheckpoints))
+			if len(kill.Correlated) > 0 {
+				args = append(args, "-kill-with", cluster.FormatGroup(kill.Correlated))
 			}
-			return append(args, extra...)
-		},
-		Log: t.Logf,
-	})
+		}
+		return append(args, extra...)
+	}
+	res, err := cluster.Launch(cfg)
 	if err != nil {
 		t.Fatalf("launch: %v", err)
 	}
@@ -184,7 +221,7 @@ func TestMultiProcessFailureFree(t *testing.T) {
 		t.Skip("multi-process test in -short mode")
 	}
 	ref := procReference(t, 4)
-	res := launchProcs(t, 4)
+	res := launchProcs(t, 4, nil)
 	if res.Attempts != 1 || res.Restarts != 0 {
 		t.Fatalf("attempts=%d restarts=%d, want 1/0", res.Attempts, res.Restarts)
 	}
@@ -193,8 +230,9 @@ func TestMultiProcessFailureFree(t *testing.T) {
 
 // TestMultiProcessSIGKILLRecovery is the headline acceptance scenario: a
 // 4-process localhost world survives a real SIGKILL of one rank
-// mid-logging-phase, re-executes it, reassembles its checkpoints from
-// +1/+2 neighbors over TCP (diskless), and converges to the failure-free
+// mid-logging-phase — the survivors detect it, agree on epoch 2 and ask
+// for a respawn — re-executes it, reassembles its checkpoints from +1/+2
+// neighbors over TCP (diskless), and converges to the failure-free
 // checksums.
 func TestMultiProcessSIGKILLRecovery(t *testing.T) {
 	if testing.Short() {
@@ -205,7 +243,7 @@ func TestMultiProcessSIGKILLRecovery(t *testing.T) {
 	// inside or just past line 2's logging phase — and is SIGKILLed there.
 	// Line 1, committed and replicated long before, guarantees a recovery
 	// line exists whether or not line 2's commit raced the kill.
-	res := launchProcs(t, 4, "-every", "4", "-kill-rank", "1", "-kill-at", "9", "-kill-after", "2")
+	res := launchProcs(t, 4, &cluster.FailureSpec{Rank: 1, AtPragma: 9, AfterCheckpoints: 2}, "-every", "4")
 	if res.Restarts != 1 {
 		t.Fatalf("restarts=%d, want exactly 1 re-executed process", res.Restarts)
 	}
@@ -236,7 +274,7 @@ func TestMultiProcessSIGKILLRecoveryAsync(t *testing.T) {
 		t.Skip("multi-process test in -short mode")
 	}
 	ref := procReference(t, 4)
-	res := launchProcs(t, 4, "-every", "4", "-async", "-kill-rank", "2", "-kill-at", "9", "-kill-after", "2")
+	res := launchProcs(t, 4, &cluster.FailureSpec{Rank: 2, AtPragma: 9, AfterCheckpoints: 2}, "-every", "4", "-async")
 	if res.Restarts != 1 {
 		t.Fatalf("restarts=%d, want 1", res.Restarts)
 	}
@@ -246,19 +284,20 @@ func TestMultiProcessSIGKILLRecoveryAsync(t *testing.T) {
 // TestMultiProcessDualSIGKILLRS is the erasure-coding acceptance scenario:
 // a 6-process world runs the diskless store under -codec=rs (k=3, m=2 —
 // every line lives only as five shards on five distinct ring successors,
-// no full copies anywhere), two ranks are SIGKILLed near-simultaneously at
-// the same pragma, both are re-executed, reassemble their checkpoints from
-// the surviving three-of-five shards over TCP, and the world converges to
-// the failure-free checksums.
+// no full copies anywhere), two ranks are SIGKILLed at the same instant as
+// one correlated fault domain (rank 3 dies with rank 1 when rank 1's spec
+// fires), both are re-executed, reassemble their checkpoints from the
+// surviving three-of-five shards over TCP, and the world converges to the
+// failure-free checksums.
 func TestMultiProcessDualSIGKILLRS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process test in -short mode")
 	}
 	ref := procReference(t, 6)
 	res := launchProcs(t, 6,
+		&cluster.FailureSpec{Rank: 1, AtPragma: 9, AfterCheckpoints: 2, Correlated: []int{3}},
 		"-every", "4",
 		"-codec", "rs", "-shards", "3", "-parity", "2",
-		"-kill-rank", "1", "-kill-rank2", "3", "-kill-at", "9", "-kill-after", "2",
 		"-query-retries", "3")
 	if res.Restarts != 2 {
 		t.Fatalf("restarts=%d, want 2 re-executed processes", res.Restarts)
@@ -287,9 +326,9 @@ func TestMultiProcessSIGKILLRecoveryXOR(t *testing.T) {
 	}
 	ref := procReference(t, 6)
 	res := launchProcs(t, 6,
+		&cluster.FailureSpec{Rank: 2, AtPragma: 9, AfterCheckpoints: 2},
 		"-every", "4",
 		"-codec", "xor", "-shards", "4",
-		"-kill-rank", "2", "-kill-at", "9", "-kill-after", "2",
 		"-query-retries", "3")
 	if res.Restarts != 1 {
 		t.Fatalf("restarts=%d, want 1", res.Restarts)

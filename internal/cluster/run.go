@@ -33,8 +33,9 @@ type FailureSpec struct {
 	// Rank — a whole chassis, switch, or checkpoint group failing as one
 	// fault domain. Their node-local checkpoint state is wiped and they
 	// drop off the interconnect together with the primary victim (the
-	// fault the cross-group parity shard exists to survive). In-process
-	// runtime only; the multi-process runner's real-signal path ignores it.
+	// fault the cross-group parity shard exists to survive). In the
+	// multi-process runtime the launcher SIGKILLs every listed process at
+	// the instant the victim's spec fires.
 	Correlated []int
 }
 
@@ -99,9 +100,10 @@ type Config struct {
 	// yield a total, deterministic run.
 	Replay *Schedule
 	// failAction, when non-nil, replaces the in-process fail-stop injection
-	// when a scheduled failure fires. The multi-process node runtime uses it
-	// to announce itself as the victim and await a real SIGKILL.
-	failAction func() error
+	// when a scheduled failure fires, receiving the spec's correlated ranks.
+	// The multi-process node runtime uses it to announce itself and its
+	// fault domain as the victims and await the launcher's real SIGKILL.
+	failAction func(correlated []int) error
 	// onLayer, when non-nil, receives the protocol layer right after
 	// bring-up. The multi-process node runtime uses it to expose the
 	// running attempt's layer to the ops control plane (POST /checkpoint).
@@ -434,7 +436,7 @@ type ckptEnv struct {
 	args       any
 	restart    bool
 	failer     *failureInjector
-	failAction func() error
+	failAction func(correlated []int) error
 	rank       int
 	proc       *mpi.Proc
 	mpiW       *mpi.World
@@ -483,7 +485,7 @@ func (e *ckptEnv) Restore() (bool, error) {
 // multi-process runtime.
 func (e *ckptEnv) fireFailure(correlated []int) error {
 	if e.failAction != nil {
-		return e.failAction()
+		return e.failAction(correlated)
 	}
 	return e.injectFailure(correlated)
 }

@@ -1,11 +1,11 @@
 package cluster_test
 
-// Self-healing end-to-end tests: the launcher is a dumb respawner, the
-// workers detect failures, agree on epochs, and coordinate recovery
-// themselves (internal/detect over the replication mesh).
+// Self-healing end-to-end tests with an operator's external SIGKILL: no
+// failure spec runs inside any worker, the launcher is a dumb respawner,
+// and the workers detect failures, agree on epochs, and coordinate
+// recovery themselves (internal/detect over the replication mesh).
 
 import (
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -15,41 +15,6 @@ import (
 	"c3/internal/cluster"
 	"c3/internal/trace"
 )
-
-// launchSelfHeal runs a self-healing multi-process world from the test
-// binary's worker mode.
-func launchSelfHeal(t *testing.T, ranks int, kill *cluster.ExternalKillSpec, extra ...string) *cluster.LaunchResult {
-	t.Helper()
-	res, err := cluster.Launch(cluster.LaunchConfig{
-		Ranks:        ranks,
-		Exe:          os.Args[0],
-		Env:          []string{procWorkerEnv + "=1", "GOTRACEBACK=all"},
-		Timeout:      90 * time.Second,
-		SelfHeal:     true,
-		ExternalKill: kill,
-		Args: func(rank int, mpiAddrs, replAddrs []string) []string {
-			args := []string{
-				"-rank", strconv.Itoa(rank),
-				"-ranks", strconv.Itoa(ranks),
-				"-peers", strings.Join(mpiAddrs, ","),
-				"-repl-peers", strings.Join(replAddrs, ","),
-				"-self-heal",
-				"-heartbeat", "15ms",
-				"-phi", "6",
-				// Tuned with the suspicion threshold: recovery reads give a
-				// still-rejoining peer a second sweep instead of one long wait.
-				"-query-timeout", "1s",
-				"-query-retries", "2",
-			}
-			return append(args, extra...)
-		},
-		Log: t.Logf,
-	})
-	if err != nil {
-		t.Fatalf("self-heal launch: %v", err)
-	}
-	return res
-}
 
 // statField extracts an integer k=v field from a rank's stat line.
 func statField(t *testing.T, stat, key string) int64 {
@@ -82,7 +47,7 @@ func TestSelfHealingExternalSIGKILL(t *testing.T) {
 	const victim = 1
 	ref := procReference(t, 4)
 	traceDir := t.TempDir()
-	res := launchSelfHeal(t, 4,
+	res := launchProcs(t, 4,
 		&cluster.ExternalKillSpec{Rank: victim, AfterCheckpoints: 2},
 		"-every", "2", "-trace-dir", traceDir)
 
@@ -194,7 +159,7 @@ func TestSelfHealingGroupedSIGKILL(t *testing.T) {
 	}
 	const victim = 5 // group 1 interior: ranks 4..7, delegate 4
 	ref := procReference(t, 8)
-	res := launchSelfHeal(t, 8,
+	res := launchProcs(t, 8,
 		&cluster.ExternalKillSpec{Rank: victim, AfterCheckpoints: 2},
 		"-every", "2",
 		"-codec", "rs", "-shards", "2", "-parity", "1",
@@ -233,7 +198,7 @@ func TestSelfHealingKillBeforeFirstLine(t *testing.T) {
 	}
 	const victim = 2
 	ref := procReference(t, 4)
-	res := launchSelfHeal(t, 4,
+	res := launchProcs(t, 4,
 		&cluster.ExternalKillSpec{Rank: victim, AfterCheckpoints: 0},
 		"-every", "4")
 
@@ -256,8 +221,8 @@ func TestSelfHealingKillBeforeFirstLine(t *testing.T) {
 	}
 }
 
-// TestMultiProcessRestartFromScratch covers the legacy launcher path for
-// the same from-scratch case, with a deterministic kill position: the
+// TestMultiProcessRestartFromScratch covers the same from-scratch case
+// with a failure spec inside the victim, a deterministic kill position: the
 // victim dies at its third pragma — exactly where line 1 would start
 // (every=3) — so no rank's line 1 can complete globally. The replacement
 // must trigger a whole-world from-scratch restart rather than reassemble
@@ -267,7 +232,7 @@ func TestMultiProcessRestartFromScratch(t *testing.T) {
 		t.Skip("multi-process test in -short mode")
 	}
 	ref := procReference(t, 4)
-	res := launchProcs(t, 4, "-every", "3", "-kill-rank", "1", "-kill-at", "3")
+	res := launchProcs(t, 4, &cluster.FailureSpec{Rank: 1, AtPragma: 3}, "-every", "3")
 	if res.Restarts != 1 {
 		t.Fatalf("restarts=%d, want 1", res.Restarts)
 	}
@@ -293,7 +258,7 @@ func TestSelfHealingFailureFree(t *testing.T) {
 		t.Skip("multi-process test in -short mode")
 	}
 	ref := procReference(t, 4)
-	res := launchSelfHeal(t, 4, nil, "-every", "4")
+	res := launchProcs(t, 4, nil, "-every", "4")
 	if res.Attempts != 1 || res.Restarts != 0 {
 		t.Fatalf("attempts=%d restarts=%d, want 1/0", res.Attempts, res.Restarts)
 	}

@@ -166,6 +166,7 @@ type Detector struct {
 	pendSuspect  time.Time // earliest suspicion since the last commit
 	times        Times
 	fenced       bool // live contact < strict majority of the membership
+	joining      bool // Join/JoinNew in progress: passive until admitted
 	closed       bool
 
 	// Grouped-mode state (see group.go). Indexed by group id; re-derived
@@ -180,8 +181,9 @@ type Detector struct {
 	senders       map[int]chan outFrame
 	sendersClosed bool
 
-	done chan struct{}
-	wg   sync.WaitGroup
+	start sync.Once
+	done  chan struct{}
+	wg    sync.WaitGroup
 }
 
 // New creates the detector for Options.Self. Call Start to launch it.
@@ -260,10 +262,14 @@ func New(opts Options) (*Detector, error) {
 // shipped with.
 
 // Start launches the heartbeat/evaluation ticker and the receive loop.
+// Frames that arrive before Start wait on the detection plane. Calling it
+// again is a no-op.
 func (d *Detector) Start() {
-	d.wg.Add(2)
-	go d.tickLoop()
-	go d.recvLoop()
+	d.start.Do(func() {
+		d.wg.Add(2)
+		go d.tickLoop()
+		go d.recvLoop()
+	})
 }
 
 // Close stops the detector: the ticker exits, the local receive port is
@@ -484,6 +490,11 @@ func (d *Detector) ObserveSend(to int) {
 // until a survivor's state response raises the local epoch past the boot
 // value, then returns the adopted epoch. Survivors react to the hello by
 // marking this rank alive again and resetting its monitor.
+//
+// Join starts the detector (a replacement calls it instead of Start) and
+// keeps it passive until admitted: its boot-time view is stale, and frames
+// addressed to its dead predecessor — a proposal queued behind a redial —
+// can still arrive. Acting on one would seed a false suspicion.
 func (d *Detector) Join(timeout time.Duration) (uint64, error) {
 	boot := d.Epoch()
 	return d.helloUntil(timeout, func() bool { return d.Epoch() > boot },
@@ -501,7 +512,20 @@ func (d *Detector) JoinNew(timeout time.Duration) (uint64, error) {
 		"membership never admitted us")
 }
 
+// helloUntil starts the detector in joining mode and broadcasts hello until
+// admitted. While joining, the detector neither heartbeats, suspects,
+// gossips, acks nor proposes. It only adopts committed state (commit and
+// state frames) and answers hellos.
 func (d *Detector) helloUntil(timeout time.Duration, admitted func() bool, what string) (uint64, error) {
+	d.mu.Lock()
+	d.joining = true
+	d.mu.Unlock()
+	defer func() {
+		d.mu.Lock()
+		d.joining = false
+		d.mu.Unlock()
+	}()
+	d.Start()
 	deadline := d.clock().Add(timeout)
 	for {
 		if admitted() {
@@ -616,10 +640,10 @@ func (d *Detector) tick() {
 	now := d.clock()
 
 	d.mu.Lock()
-	if !d.members.Contains(d.self) {
-		// Not (yet, or no longer) a member: no heartbeats, no suspicions,
-		// no proposals. A joining slot only listens and hellos (JoinNew);
-		// a drained slot is on its way out.
+	if d.joining || !d.members.Contains(d.self) {
+		// Joining, or not (yet, or no longer) a member: no heartbeats, no
+		// suspicions, no proposals. A joining process only listens and
+		// hellos (Join, JoinNew); a drained slot is on its way out.
 		d.mu.Unlock()
 		return
 	}
@@ -820,7 +844,7 @@ func (d *Detector) liveExceptLocked(skip []int) []int {
 // from the commit broadcast or a later state exchange.
 func (d *Detector) driveProposal() {
 	d.mu.Lock()
-	if !d.members.Contains(d.self) {
+	if d.joining || !d.members.Contains(d.self) {
 		d.dropProposalLocked()
 		d.mu.Unlock()
 		return
@@ -1181,7 +1205,7 @@ func (d *Detector) handle(from int, data payload) {
 		if err != nil {
 			return
 		}
-		d.reconcileEpoch(from, epoch)
+		d.handlePing(from, epoch)
 	case msgSuspect:
 		epoch, target, err := decodeSuspect(data)
 		if err != nil {
@@ -1205,7 +1229,7 @@ func (d *Detector) handle(from int, data payload) {
 			d.send(from, encodeState(cur, deadNow, membersNow))
 			return
 		}
-		adopt := !d.dead[target] && d.members.Contains(target)
+		adopt := !d.joining && !d.dead[target] && d.members.Contains(target)
 		if adopt && d.groupedLocked() &&
 			d.topo.GroupOf(target) != d.topo.GroupOf(d.self) && !d.amDelegateLocked() {
 			// Non-delegates hold no cross-group suspicions: the clearing
@@ -1318,6 +1342,32 @@ func (d *Detector) handle(from int, data payload) {
 	}
 }
 
+// handlePing treats a ping as rejoin evidence, then reconciles epochs.
+// A ping stamped with our epoch or a later one, from a rank we hold dead,
+// comes from an incarnation that adopted that epoch: a joined replacement
+// (the dead incarnation died before the epoch that declared it dead). Its
+// hello normally clears the entry, but can predate the snapshot that
+// re-installs it — two replacements joining at once, or a survivor whose
+// commit arrived after the hello. Left dead, the live rank is never pinged
+// again, and its lease or phi monitor raises a false suspicion of us.
+func (d *Detector) handlePing(from int, epoch uint64) {
+	d.mu.Lock()
+	revived := d.dead[from] && epoch >= d.epoch
+	var fence func()
+	if revived {
+		d.reviveLocked(from, d.clock())
+		fence = d.refenceLocked()
+	}
+	d.mu.Unlock()
+	if fence != nil {
+		fence()
+	}
+	if revived {
+		d.logf("rank %d: rank %d rejoined (epoch-%d ping)", d.self, from, epoch)
+	}
+	d.reconcileEpoch(from, epoch)
+}
+
 // reconcileEpoch compares a peer's advertised epoch with ours and heals a
 // divergence: a lagging peer gets our state, and if we lag we ask for
 // theirs.
@@ -1359,6 +1409,13 @@ func (d *Detector) handlePropose(from int, epoch, seq uint64, dead, members []in
 // delegate relay. It reports whether the proposal is ack-worthy.
 func (d *Detector) adoptPropose(origin int, epoch uint64, dead, members []int) bool {
 	d.mu.Lock()
+	if d.joining {
+		// Our view predates the world's current state: the proposal may
+		// be a superseded one addressed to our dead predecessor. Neither
+		// adopt nor ack; the coordinator retransmits once we are admitted.
+		d.mu.Unlock()
+		return false
+	}
 	cur := d.epoch
 	if epoch != cur+1 {
 		deadNow, membersNow := setToSlice(d.dead), d.members.Members()
@@ -1440,13 +1497,9 @@ func (d *Detector) handleHello(from int) {
 		wantJoin = true
 	}
 	if d.dead[from] {
-		delete(d.dead, from)
 		d.logf("rank %d: rank %d rejoined (hello)", d.self, from)
 	}
-	delete(d.suspected, from)
-	if m := d.monitors[from]; m != nil {
-		m.Reset(now)
-	}
+	d.reviveLocked(from, now)
 	epoch := d.epoch
 	dead := setToSlice(d.dead)
 	members := d.members.Members()
@@ -1458,6 +1511,17 @@ func (d *Detector) handleHello(from int) {
 	d.send(from, encodeState(epoch, dead, members))
 	if wantJoin {
 		d.driveProposal()
+	}
+}
+
+// reviveLocked marks a member alive again: no longer dead or suspected,
+// and its monitor restarted so the new incarnation does not inherit the
+// dead one's silence. Callers hold d.mu.
+func (d *Detector) reviveLocked(r int, now time.Time) {
+	delete(d.dead, r)
+	delete(d.suspected, r)
+	if m := d.monitors[r]; m != nil {
+		m.Reset(now)
 	}
 }
 

@@ -381,6 +381,170 @@ func TestLateRankJoins(t *testing.T) {
 	}
 }
 
+// TestConcurrentRejoinersStayAlive: two replacements join the same epoch,
+// and one of them adopts a survivor's snapshot that still lists the other
+// as dead, AFTER the other's hello already reached it. The stale entry
+// must be cleared by the other replacement's epoch-stamped pings;
+// otherwise the holder never pings a live member again, its contact lease
+// expires, and the world falsely re-declares a rank dead.
+func TestConcurrentRejoinersStayAlive(t *testing.T) {
+	const n = 5
+	w := &world{nw: transport.NewNetwork(n), dets: make([]*Detector, n)}
+	t.Cleanup(func() {
+		for _, d := range w.dets {
+			if d != nil {
+				d.Close()
+			}
+		}
+	})
+	hb, phi := tuned(5*time.Millisecond, 6)
+	for _, r := range []int{0, 2, 4} {
+		w.startRank(t, r, n, hb, phi)
+	}
+	// Ranks 1 and 3 never boot: the survivors (3 of 5, a quorum) commit
+	// both dead — in one epoch or two — the state two fresh replacements
+	// join into.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		agreed := true
+		for _, r := range []int{0, 2, 4} {
+			if !equalInts(w.dets[r].Dead(), []int{1, 3}) || w.dets[r].Epoch() != w.dets[0].Epoch() {
+				agreed = false
+			}
+		}
+		if agreed {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("survivors did not agree on ranks 1 and 3 dead")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	epoch := w.dets[0].Epoch()
+
+	// Replacement 1 exists but is not started yet: whatever reaches it
+	// queues on its endpoint in arrival order.
+	r1, err := New(Options{
+		Self: 1, Ranks: n, Net: w.nw,
+		HeartbeatInterval: hb, PhiThreshold: phi,
+		Logf: func(format string, args ...any) { t.Logf("detect: "+format, args...) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.dets[1] = r1
+	// Replacement 3 joins first; its hello to rank 1 is queued.
+	if _, err := w.startRank(t, 3, n, hb, phi).Join(5 * time.Second); err != nil {
+		t.Fatalf("rank 3 join: %v", err)
+	}
+	time.Sleep(5 * hb)
+	// Then a survivor's snapshot taken before it heard rank 3's hello.
+	if err := w.nw.Send(transport.Message{
+		From: 2, To: 1, Class: transport.Control,
+		Payload: encodeState(epoch, []int{1, 3}, []int{0, 1, 2, 3, 4}),
+	}); err != nil {
+		t.Fatalf("inject snapshot: %v", err)
+	}
+	r1.Start()
+
+	deadline = time.Now().Add(40 * hb)
+	for len(r1.Dead()) != 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if dead := r1.Dead(); len(dead) != 0 {
+		t.Fatalf("rank 1 dead = %v: the stale snapshot hid the live, joined rank 3", dead)
+	}
+	// And the world stays at that epoch with nobody dead: no false
+	// suspicion.
+	time.Sleep(40 * hb)
+	for r := 0; r < n; r++ {
+		if e := w.dets[r].Epoch(); e != epoch {
+			t.Errorf("rank %d epoch = %d, want %d (no false suspicion)", r, e, epoch)
+		}
+		if dead := w.dets[r].Dead(); len(dead) != 0 {
+			t.Errorf("rank %d dead = %v, want none", r, dead)
+		}
+	}
+}
+
+// TestJoinIgnoresStaleProposal: a superseded proposal addressed to a dead
+// incarnation (queued behind a redial, say) reaches its replacement before
+// the replacement has joined. The replacement must neither ack nor adopt
+// it: adopted, the proposal's suspicion of a live rank survives into the
+// epoch the replacement joins and is gossiped as fresh, and the world then
+// declares that rank dead. Ranks 0 and 2 are scripted by the test, so
+// every frame the replacement sends is observable and nothing clears the
+// suspicion by traffic.
+func TestJoinIgnoresStaleProposal(t *testing.T) {
+	const n = 3
+	nw := transport.NewNetwork(n)
+	hb, phi := tuned(5*time.Millisecond, 6)
+	r1, err := New(Options{
+		Self: 1, Ranks: n, Net: nw,
+		HeartbeatInterval: hb, PhiThreshold: phi,
+		Logf: func(format string, args ...any) { t.Logf("detect: "+format, args...) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r1.Close()
+	// First in the replacement's queue: the epoch-2 proposal (the "next"
+	// one from its boot epoch 1) naming live rank 2.
+	if err := nw.Send(transport.Message{
+		From: 0, To: 1, Class: transport.Control,
+		Payload: encodePropose(2, 1, []int{2}, []int{0, 1, 2}),
+	}); err != nil {
+		t.Fatalf("inject proposal: %v", err)
+	}
+	joined := make(chan error, 1)
+	go func() {
+		_, err := r1.Join(5 * time.Second)
+		joined <- err
+	}()
+
+	// Play rank 0: answer the first hello with the world's epoch-2 state,
+	// and record every detector frame the replacement sent us.
+	var got []byte
+	answered := false
+	for done := false; !done; {
+		select {
+		case err := <-joined:
+			if err != nil {
+				t.Fatalf("join: %v", err)
+			}
+			done = true
+		default:
+		}
+		msg, ok, err := nw.Endpoint(0).TryRecv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			time.Sleep(time.Millisecond)
+			continue
+		}
+		kind := msg.Payload.(payload)[0]
+		got = append(got, kind)
+		if kind == msgHello && !answered {
+			answered = true
+			if err := nw.Send(transport.Message{
+				From: 0, To: 1, Class: transport.Control,
+				Payload: encodeState(2, nil, []int{0, 1, 2}),
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, k := range got {
+		if k == msgAck {
+			t.Errorf("replacement acked the stale proposal before joining (frames sent to rank 0: %v)", got)
+		}
+	}
+	if s := r1.Suspected(); len(s) != 0 {
+		t.Errorf("replacement suspects %v after joining epoch %d, want none", s, r1.Epoch())
+	}
+}
+
 // TestOnEpochCallback: the epoch callback delivers the transition exactly
 // once per epoch with the newly dead ranks.
 func TestOnEpochCallback(t *testing.T) {

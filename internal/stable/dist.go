@@ -37,15 +37,14 @@ type DistStore struct {
 	self int
 	net  transport.Interconnect
 
-	mu          sync.Mutex
-	cond        *sync.Cond
-	members     member.Set
-	node        *replNode
-	awaiting    map[replAckKey]ackState
-	interrupted bool
-	epoch       uint64 // recovery epoch; advancing it releases blocked commits
-	fenced      bool   // minority side of a partition: commits refuse, not excuse
-	closed      bool
+	mu       sync.Mutex
+	cond     *sync.Cond
+	members  member.Set
+	node     *replNode
+	awaiting map[replAckKey]ackState
+	epoch    uint64 // recovery epoch; advancing it releases blocked commits
+	fenced   bool   // minority side of a partition: commits refuse, not excuse
+	closed   bool
 
 	bytesWritten    int64
 	replicatedBytes int64
@@ -207,7 +206,7 @@ func WithQueryTimeout(d time.Duration) Option {
 
 // WithQueryRetries sets how many rounds of per-peer fragment queries a
 // recovery read makes before giving a fragment up as unreachable (default
-// 1). The self-healing runtime raises it so a reassembly started while a
+// 1). The multi-process runtime raises it so a reassembly started while a
 // peer is still re-dialing the restarted rank's mesh does not fail
 // spuriously.
 func WithQueryRetries(k int) Option {
@@ -220,7 +219,7 @@ func WithQueryRetries(k int) Option {
 
 // WithCommitHook installs a callback invoked after each locally committed
 // version. The acknowledgment wait that precedes the local commit may
-// have ended early — interrupt, epoch advance, ack timeout excusing a
+// have ended early — epoch advance, shutdown, ack timeout excusing a
 // dead neighbor — so the hook reports local durability, not replication
 // completion. The multi-process node uses it to report checkpoint
 // progress to the launcher, which drives the external-kill demo mode.
@@ -282,31 +281,13 @@ func (s *DistStore) Close() {
 	s.wg.Wait()
 }
 
-// Interrupt releases commits blocked on neighbor acknowledgments (they
-// keep their local copy and return). The multi-process runtime calls it
-// when an attempt is aborted, so a committer waiting on a dead neighbor
-// cannot stall the restart; call Resume before the next attempt.
-func (s *DistStore) Interrupt() {
-	s.mu.Lock()
-	s.interrupted = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// Resume clears an Interrupt.
-func (s *DistStore) Resume() {
-	s.mu.Lock()
-	s.interrupted = false
-	s.mu.Unlock()
-}
-
 // AdvanceEpoch moves the store to a new recovery epoch. Every commit still
 // waiting for neighbor acknowledgments under an older epoch is released
-// (it keeps its local copy, exactly like an Interrupt), but unlike
-// Interrupt/Resume no explicit re-arm is needed: commits started under the
-// new epoch wait normally. The self-healing runtime calls it when the
-// failure detector's agreement commits a new epoch, so recovery is driven
-// by the survivors' own consensus rather than a launcher abort.
+// (it keeps its local copy and returns), so a committer waiting on a dead
+// neighbor cannot stall the restart; commits started under the new epoch
+// wait normally, with no explicit re-arm. The multi-process runtime calls
+// it when the failure detector's agreement commits a new epoch, so
+// recovery is driven by the survivors' own consensus.
 func (s *DistStore) AdvanceEpoch(epoch uint64) {
 	s.mu.Lock()
 	if epoch > s.epoch {
@@ -612,7 +593,7 @@ func (h *distHandle) Commit() error {
 				}
 			}
 		}
-		if s.interrupted || s.closed || s.epoch != startEpoch {
+		if s.closed || s.epoch != startEpoch {
 			break
 		}
 		if s.fenced {
@@ -638,7 +619,7 @@ func (h *distHandle) Commit() error {
 		s.cond.Wait()
 	}
 	fenced := s.fenced
-	tornDown := s.interrupted || s.closed || s.epoch != startEpoch
+	tornDown := s.closed || s.epoch != startEpoch
 	for _, nb := range targets {
 		delete(s.awaiting, replAckKey{owner: h.rank, version: h.version, from: nb})
 	}
@@ -661,8 +642,8 @@ func (h *distHandle) Commit() error {
 	// floor: it alone reconstructs the blob, so a correlated *group-dead*
 	// loss — every group-local holder silent at once, far beyond the ≤m
 	// individual losses the ring excusal was built for — is excused the
-	// same way a single dead neighbor is. The teardown exits (interrupt,
-	// epoch advance, shutdown) keep their legacy semantics — recovery
+	// same way a single dead neighbor is. The teardown exits (epoch
+	// advance, shutdown) keep their legacy semantics — recovery
 	// truncates and re-executes those lines.
 	parityAcked := parity >= 0 && !parityLost
 	if !keepLocal && !tornDown && len(shards)-lostShards < s.codec.DataShards() && !parityAcked {

@@ -126,15 +126,6 @@ func decodeCommitMeta(data []byte) (CommitMeta, error) {
 	return m, nil
 }
 
-// SetMarkerInfo installs the metadata stamped into every subsequent commit
-// marker: the replication codec geometry (fixed per run) and the current
-// membership epoch (updated by the runtime on each epoch transition).
-func (s *DiskStore) SetMarkerInfo(codec uint8, data, parity int) {
-	s.metaMu.Lock()
-	s.codec, s.data, s.parity = codec, data, parity
-	s.metaMu.Unlock()
-}
-
 // SetEpoch updates the membership epoch recorded in subsequent markers.
 func (s *DiskStore) SetEpoch(epoch uint64) {
 	s.metaMu.Lock()
@@ -146,7 +137,7 @@ func (s *DiskStore) SetEpoch(epoch uint64) {
 func (s *DiskStore) markerMeta() CommitMeta {
 	s.metaMu.Lock()
 	defer s.metaMu.Unlock()
-	return CommitMeta{MembershipEpoch: s.epoch, Codec: s.codec, Data: s.data, Parity: s.parity}
+	return CommitMeta{MembershipEpoch: s.epoch}
 }
 
 // Meta decodes the commit marker of (rank, version). ErrLegacyMarker means

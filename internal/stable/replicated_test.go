@@ -156,7 +156,7 @@ func TestReplicatedUncommittedInvisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, ok, _ := s.LastCommitted(0); ok {
-		t.Fatal("aborted checkpoint visible")
+		t.Fatal("checkpoint visible after Abort")
 	}
 }
 

@@ -344,10 +344,8 @@ func (s *NullStore) Truncate(rank, version int) error { return nil }
 type DiskStore struct {
 	root string
 
-	metaMu       sync.Mutex
-	epoch        uint64
-	codec        uint8
-	data, parity int
+	metaMu sync.Mutex
+	epoch  uint64
 }
 
 // NewDiskStore creates (if needed) and opens a store rooted at dir.

@@ -136,8 +136,11 @@ type heldFrame struct {
 type peerConn struct {
 	mu        sync.Mutex
 	conn      net.Conn
-	connected bool      // ever connected: re-dials use the short window
-	downUntil time.Time // failed-dial backoff: drop sends without redialing
+	connected bool // ever connected: re-dials use the short window
+	// downUntil is the failed-dial backoff deadline (UnixNano, 0: none):
+	// sends drop without redialing until then. Atomic so the read loop can
+	// lift it without waiting out a writer's dial under mu.
+	downUntil atomic.Int64
 }
 
 // redialBackoff is how long sends to a peer drop immediately after a
@@ -146,8 +149,12 @@ type peerConn struct {
 // serializing into multi-second stalls for everything else addressed to
 // that rank (the failure detector's heartbeat queue, recovery queries).
 // With it, the first send after a death pays one dial; the rest fail fast
-// until the next probe window, which also bounds how long a restarted
-// peer waits to be re-discovered.
+// until the next probe window. A frame from the peer lifts the backoff
+// early (peerAlive): a restarted rank listens before it sends anything, so
+// its first frame — a rejoin hello — proves the next dial will succeed.
+// Without that, a replacement that boots inside the window hears nothing
+// from this rank for up to the whole backoff, long enough for its failure
+// detector to declare this live rank dead.
 const redialBackoff = 200 * time.Millisecond
 
 // New creates a mesh for local rank self in a world whose rank addresses
@@ -474,6 +481,17 @@ func connDead(c net.Conn) bool {
 	return dead
 }
 
+// peerAlive lifts the failed-dial backoff toward a peer a frame just
+// arrived from (see redialBackoff).
+func (m *Mesh) peerAlive(rank int) {
+	m.mu.Lock()
+	p := m.peers[rank]
+	m.mu.Unlock()
+	if p != nil && p.downUntil.Load() != 0 {
+		p.downUntil.Store(0)
+	}
+}
+
 // write delivers one frame to a peer, dialing or re-dialing as needed. It
 // reports false when the frame could not be handed to the kernel (the peer
 // is down); the message is then dropped, never queued.
@@ -491,7 +509,7 @@ func (m *Mesh) write(rank int, frame []byte) bool {
 	}
 	for attempt := 0; attempt < 2; attempt++ {
 		if p.conn == nil {
-			if time.Now().Before(p.downUntil) {
+			if time.Now().UnixNano() < p.downUntil.Load() {
 				return false // recent dial failure: drop without redialing
 			}
 			window := m.dialWindow
@@ -510,12 +528,12 @@ func (m *Mesh) write(rank int, frame []byte) bool {
 				if debug {
 					fmt.Fprintf(os.Stderr, "tcp[%d]: dial %d failed\n", m.self, rank)
 				}
-				p.downUntil = time.Now().Add(redialBackoff)
+				p.downUntil.Store(time.Now().Add(redialBackoff).UnixNano())
 				return false
 			}
 			p.conn = conn
 			p.connected = true
-			p.downUntil = time.Time{}
+			p.downUntil.Store(0)
 		}
 		if m.dropRule(m.self, rank) {
 			// A partition rule landed between Send's fast-path check and the
@@ -661,6 +679,7 @@ func (m *Mesh) readLoop(conn net.Conn) {
 		if m.dropInbound(from, m.self) {
 			continue // blackholed pair: filter frames already in flight
 		}
+		m.peerAlive(from)
 		payload, err := transport.DecodeWirePayload(kind, body[frameHeaderLen:])
 		if err != nil {
 			continue // unknown or corrupt payload: drop the frame, keep the conn

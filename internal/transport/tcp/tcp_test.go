@@ -193,3 +193,52 @@ func TestMeshDropsToDeadPeerWithoutError(t *testing.T) {
 		t.Fatal("drop not counted")
 	}
 }
+
+// TestMeshRestartedPeerLiftsBackoff: a re-dial toward a dead peer fails and
+// arms the drop-fast backoff. The peer's replacement then speaks first (a
+// rejoin hello); that frame proves it is listening, so the answer must
+// reach it rather than be dropped for the rest of the backoff — a
+// replacement that hears nothing from a live rank for that long declares
+// it dead.
+func TestMeshRestartedPeerLiftsBackoff(t *testing.T) {
+	meshes := newTestMeshes(t, 2)
+	addrs := append([]string(nil), meshes[0].addrs...)
+	if err := meshes[0].Send(transport.Message{From: 0, To: 1, Payload: testPayload("warm")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := recvOne(t, meshes[1], 2*time.Second); !ok {
+		t.Fatal("warm-up message lost")
+	}
+
+	// Rank 1 dies; the next send re-dials for the short window, fails, and
+	// arms the backoff.
+	meshes[1].Close()
+	if err := meshes[0].Send(transport.Message{From: 0, To: 1, Payload: testPayload("lost")}); err != nil {
+		t.Fatal(err)
+	}
+	if meshes[0].Stats().MessagesDropped == 0 {
+		t.Fatal("send to the dead peer was not dropped: no backoff armed")
+	}
+
+	replacement, err := New(1, addrs)
+	if err != nil {
+		t.Fatalf("replacement: %v", err)
+	}
+	defer replacement.Close()
+	if err := replacement.Send(transport.Message{From: 1, To: 0, Payload: testPayload("hello")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := recvOne(t, meshes[0], 2*time.Second); !ok {
+		t.Fatal("replacement's hello lost")
+	}
+	if err := meshes[0].Send(transport.Message{From: 0, To: 1, Payload: testPayload("answer")}); err != nil {
+		t.Fatal(err)
+	}
+	msg, ok := recvOne(t, replacement, 2*time.Second)
+	if !ok {
+		t.Fatal("answer to the replacement was dropped by the backoff")
+	}
+	if got := string(msg.Payload.(testPayload)); got != "answer" {
+		t.Fatalf("replacement got %q, want answer", got)
+	}
+}
